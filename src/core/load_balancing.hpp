@@ -103,9 +103,9 @@ class P2Workspace {
   /// (Re)binds the workspace to an (SBS, demand) pair: rebuilds
   /// lambda/u/v/a and the cached Lipschitz norm, resets c to zero and ub to
   /// all-ones, and invalidates any cached solution. The previous solution
-  /// vector is KEPT as the next solve's warm start (clear it with
-  /// clear_warm_start() for a cold start). Never throws on non-finite
-  /// rates; the poisoning is reported by the next solve's status instead.
+  /// vector is KEPT as the next solve's warm start. Never throws on
+  /// non-finite rates; the poisoning is reported by the next solve's status
+  /// instead.
   void bind(const model::SbsConfig& sbs, const model::SbsDemand& demand);
   bool bound() const { return sbs_ != nullptr; }
 
@@ -151,7 +151,6 @@ class P2Workspace {
   /// The last solution (after a solve), doubling as the next warm start.
   const linalg::Vec& y() const { return y_; }
   linalg::Vec& warm_start() { return y_; }
-  void clear_warm_start() { y_.clear(); }
 
   /// True when the workspace holds the solution of the current
   /// (bind, c, ub) state — callers may skip a re-solve (the repair loop's

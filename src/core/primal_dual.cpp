@@ -95,28 +95,6 @@ std::size_t mu_size(const model::NetworkConfig& config, std::size_t horizon) {
   return MuLayout(config).per_slot * horizon;
 }
 
-linalg::Vec shift_mu(const linalg::Vec& mu, const model::NetworkConfig& config,
-                     std::size_t horizon, std::size_t shift) {
-  return shift_mu(mu, config, horizon, horizon, shift);
-}
-
-linalg::Vec shift_mu(const linalg::Vec& mu, const model::NetworkConfig& config,
-                     std::size_t old_horizon, std::size_t new_horizon,
-                     std::size_t shift) {
-  const MuLayout layout(config);
-  MDO_REQUIRE(mu.size() == layout.per_slot * old_horizon,
-              "shift_mu: size mismatch");
-  MDO_REQUIRE(old_horizon >= 1 && new_horizon >= 1, "shift_mu: horizons");
-  linalg::Vec out(layout.per_slot * new_horizon);
-  for (std::size_t t = 0; t < new_horizon; ++t) {
-    const std::size_t src = std::min(t + shift, old_horizon - 1);
-    std::copy_n(mu.begin() + static_cast<std::ptrdiff_t>(src * layout.per_slot),
-                layout.per_slot,
-                out.begin() + static_cast<std::ptrdiff_t>(t * layout.per_slot));
-  }
-  return out;
-}
-
 PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
     : options_(options) {
   MDO_REQUIRE(options_.max_iterations >= 1, "need at least one iteration");
@@ -133,10 +111,7 @@ PrimalDualSolver& PrimalDualSolver::operator=(PrimalDualSolver&&) noexcept =
     default;
 
 void PrimalDualSolver::advance_window(std::size_t shift) {
-  if (shift == 0 || bank_slots_ == 0 || !options_.reuse_workspaces ||
-      !options_.cross_window_warm_start) {
-    return;
-  }
+  if (shift == 0 || bank_slots_ == 0) return;
   // Ascending t only reads rows > t, which are still the old window's.
   for (std::size_t t = 0; t < bank_slots_; ++t) {
     const std::size_t src = std::min(t + shift, bank_slots_ - 1);
@@ -284,7 +259,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
               const double value =
                   2.0 * a * sbs.classes[m].omega_bs * it->rate;
               mean_marginal += value;
-              if (options_.marginal_initialization && warm_mu == nullptr) {
+              if (warm_mu == nullptr) {
                 if (compact) {
                   while (pos < a_count && (*al)[pos] < it->content) ++pos;
                   MDO_CHECK(pos < a_count && (*al)[pos] == it->content,
@@ -308,7 +283,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
           for (std::size_t j = 0; j < g.size(); ++j) {
             mean_marginal += g[j];
             ++entries;
-            if (options_.marginal_initialization && warm_mu == nullptr) {
+            if (warm_mu == nullptr) {
               mu[layout.offset(t, n) + j] = g[j];
             }
           }
@@ -378,24 +353,15 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   const double step_scale = options_.step_scale > 0.0
                                 ? options_.step_scale
                                 : std::max(1e-9, 0.5 * mean_marginal);
-  // Warm-started solves resume the step schedule where the previous window
-  // stopped (see the option comment); cold solves restart at delta_0.
-  const std::size_t step_offset =
-      warm_mu != nullptr && options_.cross_window_warm_start ? step_offset_
-                                                             : 0;
+  // Warm-started solves resume the step schedule where the previous solve
+  // stopped (see solve() in the header); cold solves restart at delta_0.
+  const std::size_t step_offset = warm_mu != nullptr ? step_offset_ : 0;
 
-  // ---- Select the warm-start bank: the persistent member (the
-  // zero-allocation hot path, also the state a sharded solve ships out and
-  // reclaims) or a throwaway. Both run the same code path, so results are
-  // bit-identical either way.
-  std::vector<CellState> local_bank;
-  std::vector<CellState>& bank =
-      options_.reuse_workspaces ? bank_ : local_bank;
-  bank.resize(w * num_sbs);
-  if (options_.reuse_workspaces) {
-    bank_slots_ = w;
-    bank_sbs_ = num_sbs;
-  }
+  // ---- The persistent warm-start bank: the zero-allocation hot path, and
+  // the state a sharded solve ships out and reclaims.
+  bank_.resize(w * num_sbs);
+  bank_slots_ = w;
+  bank_sbs_ = num_sbs;
 
   // ---- Optional neighbor-demand tilt of P1 (see the option comment):
   // constant per-(n, k, t) reward addends in the P1 layout, computed HERE,
@@ -451,17 +417,16 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       shard::resolved_shard_count(options_.shard_count, num_sbs);
   if (shards > 0) {
     return solve_sharded(problem, deadline, shards, std::move(mu), step_scale,
-                         step_offset, sets, mu_off, rewards_ptr, bank);
+                         step_offset, sets, mu_off, rewards_ptr);
   }
   return solve_in_process(problem, deadline, std::move(mu), step_scale,
-                          step_offset, std::move(sets), rewards_ptr, bank);
+                          step_offset, std::move(sets), rewards_ptr);
 }
 
 HorizonSolution PrimalDualSolver::solve_in_process(
     const HorizonProblem& problem, runtime::DeadlineToken* deadline,
     linalg::Vec mu, double step_scale, std::size_t step_offset,
-    ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards,
-    std::vector<CellState>& bank) {
+    ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards) {
   const auto& config = *problem.config;
   const std::size_t w = problem.horizon();
 
@@ -477,13 +442,11 @@ HorizonSolution PrimalDualSolver::solve_in_process(
   ShardOptions shard_opts;
   shard_opts.backend = options_.backend;
   shard_opts.load_balancing = options_.load_balancing;
-  shard_opts.reuse_p1_network = options_.reuse_p1_network;
-  shard_opts.cross_window_warm_start = options_.cross_window_warm_start;
 
   // One full-range shard: the exact pre-refactor loop bodies (see
   // shard_core.cpp), with every reduction kept below in serial index order.
   ShardCore core;
-  core.begin(inputs, shard_opts, bank, std::move(sets));
+  core.begin(inputs, shard_opts, bank_, std::move(sets));
 
   HorizonSolution best;
   best.upper_bound = kInf;
@@ -566,8 +529,7 @@ HorizonSolution PrimalDualSolver::solve_sharded(
     std::size_t shards, linalg::Vec mu, double step_scale,
     std::size_t step_offset, const ActiveSets& sets,
     const std::vector<std::size_t>& mu_offsets,
-    const std::vector<linalg::Vec>* neighbor_rewards,
-    std::vector<CellState>& bank) {
+    const std::vector<linalg::Vec>* neighbor_rewards) {
   const auto& config = *problem.config;
   const std::size_t w = problem.horizon();
   const std::size_t num_sbs = config.num_sbs();
@@ -588,12 +550,10 @@ HorizonSolution PrimalDualSolver::solve_sharded(
   ShardOptions shard_opts;
   shard_opts.backend = options_.backend;
   shard_opts.load_balancing = options_.load_balancing;
-  shard_opts.reuse_p1_network = options_.reuse_p1_network;
-  shard_opts.cross_window_warm_start = options_.cross_window_warm_start;
 
   if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
   // A worker death anywhere below aborts the solve without touching the
-  // warm state: `bank` was only READ (at encode time) and is written back
+  // warm state: `bank_` was only READ (at encode time) and is written back
   // only by a successful finish(), and step_offset_ is left alone — so the
   // supervisor's retry of the same solve is bit-identical to the solve that
   // was lost.
@@ -602,7 +562,7 @@ HorizonSolution PrimalDualSolver::solve_sharded(
                              compact);
   };
   if (!coordinator_->begin(inputs, shard_opts, shards, layout,
-                           compact ? &mu_offsets : nullptr, mu, bank)) {
+                           compact ? &mu_offsets : nullptr, mu, bank_)) {
     return fail();
   }
 
@@ -696,7 +656,7 @@ HorizonSolution PrimalDualSolver::solve_sharded(
   // the in-process loop, whose dual update has already run when the
   // deadline or the iteration budget stops it) and return the final mu and
   // the warm-start bank to the driver.
-  if (!coordinator_->finish(pending, pending_delta, mu, bank)) return fail();
+  if (!coordinator_->finish(pending, pending_delta, mu, bank_)) return fail();
 
   best.mu = std::move(mu);
   step_offset_ = best.iterations;

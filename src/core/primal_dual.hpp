@@ -83,39 +83,8 @@ struct PrimalDualOptions {
   /// Multiplies the schedule (16); 0 selects an automatic scale derived
   /// from the marginal BS cost (see primal_dual.cpp).
   double step_scale = 0.0;
-  /// Initialize mu at the marginal BS-cost gradient instead of zero when no
-  /// warm start is supplied; dramatically reduces iterations to a good dual.
-  bool marginal_initialization = true;
   P1Backend backend = P1Backend::kFlow;
   LoadBalancingOptions load_balancing{};
-  /// Keep the per-(slot, SBS) P2 workspaces alive inside the solver across
-  /// solve() calls (the zero-allocation hot path). false runs the identical
-  /// code path with throwaway workspaces — the A/B baseline for the perf
-  /// bench; results are bit-identical either way.
-  bool reuse_workspaces = true;
-  /// Build each SBS's P1 flow network once per solve and only re-price the
-  /// occupancy arcs between dual iterations (see CachingFlowWorkspace).
-  /// false rebuilds the time-expanded network every iteration — the
-  /// pre-optimization behavior, kept as the A/B baseline for the perf
-  /// bench; results are bit-identical either way.
-  bool reuse_p1_network = true;
-  /// Carry P2 warm starts (the y vectors) across consecutive windows
-  /// (advance_window rotates the bank as the window slides) and accept a
-  /// warm mu for SAME-window replans (an online controller resyncing at an
-  /// unchanged tau). A mu-warm-started solve then CONTINUES the
-  /// diminishing-step schedule (16) where the previous solve stopped
-  /// instead of restarting at delta_0: a full-size first step would throw
-  /// mu far from the near-optimal warm point and the decayed tail of the
-  /// schedule could not pull it back within the iteration budget.
-  ///
-  /// Deliberately NOT covered: shifting mu across *slid* windows. Measured
-  /// head-to-head (see DESIGN.md), every shifted-mu policy — schedule
-  /// restart, schedule continuation, fixed offsets — converges slower than
-  /// the marginal re-initialization, because the window's initial cache
-  /// moves every slot and the tail slots carry end-of-window effects, so
-  /// the dual optimum genuinely shifts. false re-solves every window cold
-  /// with no warm starts of either kind.
-  bool cross_window_warm_start = true;
   /// Neighbor-demand tilt of P1 (DESIGN.md §13): when positive and the
   /// config carries a positive-bandwidth neighbor topology, every content's
   /// P1 reward at SBS n gains `price * (total demand rate the positive-
@@ -170,23 +139,6 @@ struct HorizonSolution {
 /// then content.
 std::size_t mu_size(const model::NetworkConfig& config, std::size_t horizon);
 
-/// Warm-start hand-off between consecutive windows: drops the first
-/// `shift` slots of mu and repeats the last slot to refill. Result has the
-/// same layout for horizon `horizon`.
-linalg::Vec shift_mu(const linalg::Vec& mu,
-                     const model::NetworkConfig& config, std::size_t horizon,
-                     std::size_t shift);
-
-/// General form: maps multipliers of an `old_horizon` window onto a
-/// `new_horizon` window advanced by `shift` slots — slot t of the new
-/// window takes slot min(t + shift, old_horizon - 1) of the old (shifts at
-/// or past the horizon repeat the last slot everywhere). The 3-horizon
-/// overload above is the old_horizon == new_horizon special case.
-linalg::Vec shift_mu(const linalg::Vec& mu,
-                     const model::NetworkConfig& config,
-                     std::size_t old_horizon, std::size_t new_horizon,
-                     std::size_t shift);
-
 class PrimalDualSolver {
  public:
   explicit PrimalDualSolver(PrimalDualOptions options = {});
@@ -196,13 +148,22 @@ class PrimalDualSolver {
   PrimalDualSolver(PrimalDualSolver&&) noexcept;
   PrimalDualSolver& operator=(PrimalDualSolver&&) noexcept;
 
-  /// Solves the window problem. `warm_mu` (layout above, sized for the
-  /// problem's horizon) seeds the multipliers when provided. Non-finite or
-  /// negative demand never throws: it is reported through the result status
-  /// with a safe fallback schedule (see HorizonSolution::status).
+  /// Solves the window problem. Without `warm_mu` the multipliers start at
+  /// the marginal BS-cost gradient. `warm_mu` (layout above, sized for the
+  /// problem's horizon) is meant for SAME-window replans (an online
+  /// controller resyncing at an unchanged tau): the solve then CONTINUES
+  /// the diminishing-step schedule (16) where the previous solve stopped
+  /// instead of restarting at delta_0, since a full-size first step would
+  /// throw mu far from the near-optimal warm point. Multipliers are
+  /// deliberately not shifted across slid windows: measured head-to-head
+  /// (see DESIGN.md), every shifted-mu policy converged slower than the
+  /// marginal re-initialization, because the window's initial cache moves
+  /// every slot and the tail slots carry end-of-window effects. Non-finite
+  /// or negative demand never throws: it is reported through the result
+  /// status with a safe fallback schedule (see HorizonSolution::status).
   ///
-  /// Non-const: the solver keeps the per-(slot, SBS) P2 workspace bank
-  /// between calls (see PrimalDualOptions::reuse_workspaces).
+  /// Non-const: the solver keeps the per-(slot, SBS) P2 workspace bank —
+  /// and with it the P2 warm starts — between calls.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -216,10 +177,9 @@ class PrimalDualSolver {
 
   /// Rotates the cached P2 warm starts when the window slides forward by
   /// `shift` slots (slot t of the next window reuses slot t + shift of the
-  /// previous one; tail slots repeat the last) — the workspace-bank
-  /// counterpart of shift_mu. Controllers call this between windows. No-op
-  /// when workspace reuse or cross-window warm starts are disabled, or past
-  /// the horizon (every slot then starts from the last slot's warm start).
+  /// previous one; tail slots repeat the last). Controllers call this
+  /// between windows. Past the horizon every slot starts from the last
+  /// slot's warm start; a zero shift or an empty bank is a no-op.
   void advance_window(std::size_t shift);
 
   const PrimalDualOptions& options() const { return options_; }
@@ -238,15 +198,13 @@ class PrimalDualSolver {
   HorizonSolution solve_in_process(
       const HorizonProblem& problem, runtime::DeadlineToken* deadline,
       linalg::Vec mu, double step_scale, std::size_t step_offset,
-      ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards,
-      std::vector<CellState>& bank);
+      ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards);
   HorizonSolution solve_sharded(
       const HorizonProblem& problem, runtime::DeadlineToken* deadline,
       std::size_t shards, linalg::Vec mu, double step_scale,
       std::size_t step_offset, const ActiveSets& sets,
       const std::vector<std::size_t>& mu_offsets,
-      const std::vector<linalg::Vec>* neighbor_rewards,
-      std::vector<CellState>& bank);
+      const std::vector<linalg::Vec>* neighbor_rewards);
 
   PrimalDualOptions options_;
   std::vector<CellState> bank_;  // cell = t * num_sbs + n
@@ -260,8 +218,7 @@ class PrimalDualSolver {
   std::vector<std::vector<std::size_t>> last_active_;
   std::size_t last_horizon_ = 0;
   /// Where the previous solve's diminishing-step schedule stopped; a
-  /// warm-started solve resumes from here (see
-  /// PrimalDualOptions::cross_window_warm_start).
+  /// warm-started solve resumes from here (see solve()).
   std::size_t step_offset_ = 0;
   /// Worker fleet for sharded solves; spawned on first use, torn down on
   /// any worker failure (and respawned by the next sharded solve).

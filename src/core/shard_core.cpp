@@ -102,18 +102,12 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   // ---- Per-(slot, SBS) P2 workspaces: coefficients are built once here,
   // the dual loop then only refreshes the mu-dependent linear term (and the
   // repair loop the box upper bound). The workspaces also hold the warm
-  // starts across dual iterations — and across windows when the bank is the
-  // persistent one. A throwaway bank runs the same code path, so results
-  // are bit-identical either way.
+  // starts across dual iterations and across windows.
   bank.resize(w * num_sbs);
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
-    if (!options_.cross_window_warm_start) {
-      cs.p2.clear_warm_start();
-      cs.repair.clear_warm_start();
-    }
     if (sparse) {
       cs.p2.bind_active(config.sbs[n], inputs_.sparse_demand->slot(t)[n],
                         sets_.active[cell]);
@@ -157,10 +151,7 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
       }
     }
     sub.rewards.assign(kp * w, 0.0);
-    if (options_.backend == P1Backend::kFlow && options_.reuse_p1_network &&
-        kp > 0) {
-      p1_[n].flow.bind(sub);
-    }
+    if (options_.backend == P1Backend::kFlow && kp > 0) p1_[n].flow.bind(sub);
   });
 
   x_.assign(num_sbs, {});
@@ -238,8 +229,6 @@ void ShardCore::iterate(const linalg::Vec& mu) {
         }
       }
       if (options_.backend == P1Backend::kFlow) {
-        // A/B baseline: rebuild the network from scratch every iteration.
-        if (!options_.reuse_p1_network) p1_[n].flow.bind(sub);
         p1_objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
       } else {
         const CachingSolution sol = solve_caching_simplex(sub);

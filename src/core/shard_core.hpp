@@ -108,8 +108,6 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
 struct ShardOptions {
   P1Backend backend = P1Backend::kFlow;
   LoadBalancingOptions load_balancing{};
-  bool reuse_p1_network = true;
-  bool cross_window_warm_start = true;
 };
 
 /// Non-owning window problem handed to a shard. In a worker subprocess the

@@ -119,8 +119,7 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   // plans solve from the marginal init.
   const bool same_window =
       shift == 0 && !warm_mu_.empty() && warm_horizon_ == horizon;
-  const linalg::Vec* warm =
-      same_window && options_.cross_window_warm_start ? &warm_mu_ : nullptr;
+  const linalg::Vec* warm = same_window ? &warm_mu_ : nullptr;
   // The plan must cover this commitment block: a truncated backoff retry
   // may drop tail slots, but never below the block the planner commits.
   const std::size_t min_horizon = static_cast<std::size_t>(

@@ -6,13 +6,6 @@
 
 namespace mdo::online {
 
-linalg::Vec advance_mu(const linalg::Vec& old_mu,
-                       const model::NetworkConfig& config,
-                       std::size_t old_horizon, std::size_t new_horizon,
-                       std::size_t shift) {
-  return core::shift_mu(old_mu, config, old_horizon, new_horizon, shift);
-}
-
 RhcController::RhcController(std::size_t window,
                              core::PrimalDualOptions options)
     : window_(window), options_(options), solver_(options_) {

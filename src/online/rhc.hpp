@@ -57,12 +57,4 @@ class RhcController final : public Controller {
   model::SparseDemandTrace window_sparse_;
 };
 
-/// Builds a warm-start multiplier vector for a new window of length
-/// `new_horizon` from the multipliers of the previous window (length
-/// `old_horizon`), advanced by `shift` slots. Shared by RHC and FHC.
-linalg::Vec advance_mu(const linalg::Vec& old_mu,
-                       const model::NetworkConfig& config,
-                       std::size_t old_horizon, std::size_t new_horizon,
-                       std::size_t shift);
-
 }  // namespace mdo::online

@@ -140,7 +140,6 @@ class OverlapP2Workspace {
   /// The last solution (after a solve), doubling as the next warm start.
   const linalg::Vec& y() const { return y_; }
   linalg::Vec& warm_start() { return y_; }
-  void clear_warm_start() { y_.clear(); }
 
   /// True when the workspace holds the solution of the current
   /// (bind, c, ub) state (the repair loop's unchanged-ub fast path).

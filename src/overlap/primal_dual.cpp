@@ -42,13 +42,11 @@ double OverlapHorizonSolution::gap() const {
 }
 
 void OverlapP1Core::begin(const OverlapHorizonProblem& problem,
-                          const OverlapPrimalDualOptions& options,
                           std::size_t sbs_begin, std::size_t sbs_end) {
   MDO_REQUIRE(sbs_begin <= sbs_end &&
                   sbs_end <= problem.config->num_sbs(),
               "overlap P1 core: SBS range out of bounds");
   problem_ = &problem;
-  options_ = options;
   sbs_begin_ = sbs_begin;
   const auto& config = *problem.config;
   const std::size_t count = sbs_end - sbs_begin;
@@ -66,7 +64,7 @@ void OverlapP1Core::begin(const OverlapHorizonProblem& problem,
     sub.beta = config.sbs[n].replacement_beta;
     sub.initial = problem.initial[n];
     sub.rewards.assign(k_count * w, 0.0);
-    if (options_.reuse_p1_network) p1_[i].flow.bind(sub);
+    p1_[i].flow.bind(sub);
   });
 }
 
@@ -88,8 +86,6 @@ void OverlapP1Core::iterate(const linalg::Vec& mu) {
         }
       }
     }
-    // A/B baseline: rebuild the network from scratch every iteration.
-    if (!options_.reuse_p1_network) p1_[i].flow.bind(sub);
     objectives_[i] = p1_[i].flow.solve_into(sub, x_[i]);
   });
 }
@@ -130,7 +126,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
         const double marginal =
             2.0 * a * config.classes[m].omega_bs * demand.at(m, k);
         mean_marginal += marginal;
-        if (options_.marginal_initialization && warm_mu == nullptr) {
+        if (warm_mu == nullptr) {
           mu[t * per_slot + layout.index(id, k)] = marginal;
         }
       }
@@ -155,23 +151,15 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
   // the shard-local P1 core; overlap binds the full SBS range in process
   // (P2 couples SBSs within a slot, so there is nothing to shard by SBS).
   OverlapP1Core p1;
-  p1.begin(problem, options_, 0, config.num_sbs());
+  p1.begin(problem, 0, config.num_sbs());
   const std::vector<std::vector<std::uint8_t>>& x = p1.x();  // [t*K + k]
 
   // ---- Per-slot P2 workspaces: coefficients built once here, the dual
   // loop then only refreshes the linear term (and the repair loop the box
-  // upper bound); the warm starts live inside. A throwaway bank runs the
-  // same code path, so results are bit-identical either way.
-  std::vector<SlotState> local_bank;
-  std::vector<SlotState>& bank =
-      options_.reuse_workspaces ? bank_ : local_bank;
-  bank.resize(w);
+  // upper bound); the warm starts live inside and carry across solves.
+  bank_.resize(w);
   util::parallel_for(0, w, [&](std::size_t t) {
-    SlotState& ss = bank[t];
-    if (!options_.cross_window_warm_start) {
-      ss.p2.clear_warm_start();
-      ss.repair.clear_warm_start();
-    }
+    SlotState& ss = bank_[t];
     ss.p2.bind(config, layout, problem.demand[t]);
     ss.repair.bind(config, layout, problem.demand[t]);
   });
@@ -197,7 +185,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
     // ---- P2 per slot (coupled across SBSs, independent across slots).
     std::vector<double> p2_objectives(w, 0.0);
     util::parallel_for(0, w, [&](std::size_t t) {
-      SlotState& ss = bank[t];
+      SlotState& ss = bank_[t];
       ss.p2.set_linear(mu.data() + t * per_slot,
                        mu.data() + (t + 1) * per_slot);
       p2_objectives[t] =
@@ -211,7 +199,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
     // ---- Feasibility repair -> upper bound (independent per slot).
     std::vector<OverlapDecision> schedule(w);
     util::parallel_for(0, w, [&](std::size_t t) {
-      SlotState& ss = bank[t];
+      SlotState& ss = bank_[t];
       schedule[t].cache = empty_cache(config);
       linalg::Vec& ub = ss.ub;
       ub.assign(per_slot, 0.0);
@@ -251,7 +239,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
     // coordinate's update is exactly max(0, mu + delta * (y - x)) as before.
     const double delta = step_scale * step(iteration);
     for (std::size_t t = 0; t < w; ++t) {
-      const linalg::Vec& y = bank[t].p2.y();
+      const linalg::Vec& y = bank_[t].p2.y();
       xd.resize(per_slot);
       for (std::size_t id = 0; id < layout.num_links(); ++id) {
         const auto [m, n] = layout.link(id);

@@ -30,19 +30,7 @@ struct OverlapPrimalDualOptions {
   double epsilon = 1e-4;
   double step_alpha = 1.0;  // delta_l = alpha / (1 + l), see subgradient.hpp
   double step_scale = 0.0;  // 0 = automatic (marginal-gradient scale)
-  bool marginal_initialization = true;
   OverlapP2Options p2{};
-  /// Keep the per-slot P2 workspaces alive across solve() calls (the
-  /// zero-allocation hot path); false runs the identical code path with
-  /// throwaway workspaces. Results are bit-identical either way.
-  bool reuse_workspaces = true;
-  /// Build each SBS's P1 flow network once per solve and only re-price the
-  /// occupancy arcs between dual iterations (see core::CachingFlowWorkspace);
-  /// false rebuilds it every iteration. Bit-identical either way.
-  bool reuse_p1_network = true;
-  /// Carry P2 warm starts (the y vectors) across consecutive solve()
-  /// calls; false starts every solve cold (the legacy behavior).
-  bool cross_window_warm_start = true;
 };
 
 struct OverlapHorizonSolution {
@@ -68,11 +56,11 @@ struct OverlapHorizonSolution {
 /// be partitioned by SBS the way the core solver's can.
 class OverlapP1Core {
  public:
-  /// Binds per-SBS P1 state for SBSs [sbs_begin, sbs_end) of `problem`.
-  /// The problem must outlive the core and stay unchanged until the next
+  /// Binds per-SBS P1 state (and builds each SBS's flow network, re-priced
+  /// by every iterate()) for SBSs [sbs_begin, sbs_end) of `problem`. The
+  /// problem must outlive the core and stay unchanged until the next
   /// begin(). Parallelizes over the range internally.
-  void begin(const OverlapHorizonProblem& problem,
-             const OverlapPrimalDualOptions& options, std::size_t sbs_begin,
+  void begin(const OverlapHorizonProblem& problem, std::size_t sbs_begin,
              std::size_t sbs_end);
 
   /// One dual iteration of P1 over the bound range: rebuild rewards from
@@ -94,7 +82,6 @@ class OverlapP1Core {
   };
 
   const OverlapHorizonProblem* problem_ = nullptr;
-  OverlapPrimalDualOptions options_;
   std::size_t sbs_begin_ = 0;
   std::vector<P1State> p1_;
   std::vector<double> objectives_;
@@ -105,8 +92,8 @@ class OverlapPrimalDualSolver {
  public:
   explicit OverlapPrimalDualSolver(OverlapPrimalDualOptions options = {});
 
-  /// Non-const: the solver keeps the per-slot P2 workspace bank between
-  /// calls (see OverlapPrimalDualOptions::reuse_workspaces).
+  /// Non-const: the solver keeps the per-slot P2 workspace bank — and with
+  /// it the P2 warm starts — between calls.
   ///
   /// `deadline` is polled once per dual iteration after the first one
   /// completes; on expiry the best feasible incumbent is returned with

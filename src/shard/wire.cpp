@@ -14,7 +14,7 @@ namespace mdo::shard {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '2'};
+constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '3'};
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8 + 8;
 /// Sanity cap: no legitimate frame approaches this (the largest, kBegin at
 /// N=1024/K=10^4 dense, is low single-digit GB; sparse frames are MBs).
@@ -119,8 +119,6 @@ namespace {
 
 void write_options(util::BinaryWriter& w, const core::ShardOptions& opts) {
   w.u8(static_cast<std::uint8_t>(opts.backend));
-  w.boolean(opts.reuse_p1_network);
-  w.boolean(opts.cross_window_warm_start);
   w.boolean(opts.load_balancing.prefer_exact);
   w.size(opts.load_balancing.first_order.max_iterations);
   w.f64(opts.load_balancing.first_order.gradient_tolerance);
@@ -130,9 +128,10 @@ void write_options(util::BinaryWriter& w, const core::ShardOptions& opts) {
 
 core::ShardOptions read_options(util::BinaryReader& r) {
   core::ShardOptions opts;
-  opts.backend = static_cast<core::P1Backend>(r.u8());
-  opts.reuse_p1_network = r.boolean();
-  opts.cross_window_warm_start = r.boolean();
+  const std::uint8_t backend = r.u8();
+  MDO_REQUIRE(backend <= static_cast<std::uint8_t>(core::P1Backend::kSimplex),
+              "shard wire: unknown P1 backend");
+  opts.backend = static_cast<core::P1Backend>(backend);
   opts.load_balancing.prefer_exact = r.boolean();
   opts.load_balancing.first_order.max_iterations = r.size();
   opts.load_balancing.first_order.gradient_tolerance = r.f64();

@@ -2,15 +2,16 @@
 //
 // Every message is one frame on a SOCK_STREAM socketpair:
 //
-//   magic "MDOSHRD2" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
+//   magic "MDOSHRD3" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
 //
 // — the same framing discipline as the "MDOCKPT1" checkpoint files
 // (runtime/checkpoint), rebuilt here on util::BinaryWriter/fnv1a64 because
 // mdo_core cannot link the runtime layer. The magic's last byte is the
-// protocol version ("...D2" since the multi-tier routing refactor shipped
-// omega_neigh and the per-SBS neighbor-reward blocks in kBegin; "...D1"
-// before); a frame whose first seven bytes match but whose version differs
-// is rejected CLEANLY — recv_frame warns and returns false, surfacing as
+// protocol version ("...D3" since the kBegin options block dropped its two
+// solver A/B booleans; "...D2" added omega_neigh and the per-SBS
+// neighbor-reward blocks to kBegin; "...D1" before); a frame whose first
+// seven bytes match but whose version differs is rejected CLEANLY —
+// recv_frame warns and returns false, surfacing as
 // SolveStatus::kWorkerFailure — rather than reading as checksum corruption.
 // Any other framing failure (bad magic, size, checksum) is
 // indistinguishable from a dead peer: recv_frame returns false and the

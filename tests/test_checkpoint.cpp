@@ -30,6 +30,7 @@
 #include "sim/simulator.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/ema_predictor.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -445,6 +446,9 @@ TEST(Checkpoint, SurvivesAbruptProcessDeath) {
     // Child: run part of the horizon, then die without unwinding —
     // destructors, flushes, and atexit handlers never run, exactly like a
     // crash. The checkpoint on disk must still be complete and valid.
+    // The parent's pool workers do not exist here (and one may have held
+    // the pool mutex at fork time), so start from a fresh pool.
+    util::ThreadPool::reset_global_after_fork();
     auto crash_options = options;
     crash_options.halt_after_slot = 7;
     const sim::Simulator crashing(instance, predictor, crash_options);

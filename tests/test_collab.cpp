@@ -3,7 +3,7 @@
 // the pre-refactor results, for every controller, at every thread and
 // shard count), cooperative <= non-cooperative on every generator,
 // rounding/repair feasibility under inter-SBS link caps, the
-// zero-bandwidth edge case, and the MDOSHRD2 wire behavior for the new
+// zero-bandwidth edge case, and the MDOSHRD3 wire behavior for the
 // neighbor fields.
 #include <gtest/gtest.h>
 
@@ -224,7 +224,7 @@ TEST(Collab, ExecutedDecisionsRespectInterSbsLinkCaps) {
 
 TEST(Collab, NeighborPricedSolveBitIdenticalAcrossShards) {
   // p1_neighbor_price > 0 ships per-SBS neighbor-reward blocks and
-  // omega_neigh through the MDOSHRD2 kBegin frame; the sharded solve must
+  // omega_neigh through the MDOSHRD3 kBegin frame; the sharded solve must
   // still be bit-identical to the in-process one.
   const auto instance =
       small_scenario(workload::NeighborTopologyKind::kRing, 5.0).build();
@@ -269,7 +269,7 @@ TEST(Collab, NeighborPriceZeroMatchesUnpricedSolve) {
   EXPECT_EQ(got.lower_bound, want.lower_bound);
 }
 
-// ---- MDOSHRD2 wire framing -------------------------------------------------
+// ---- MDOSHRD3 wire framing -------------------------------------------------
 
 std::vector<std::uint8_t> raw_frame(const std::vector<std::uint8_t>& payload) {
   int fds[2];
@@ -301,20 +301,20 @@ bool frame_accepted(const std::vector<std::uint8_t>& raw) {
   return ok;
 }
 
-TEST(Collab, WireMagicCarriesProtocolVersionTwo) {
+TEST(Collab, WireMagicCarriesProtocolVersionThree) {
   const std::vector<std::uint8_t> clean = raw_frame({1, 2, 3});
   ASSERT_GE(clean.size(), 8u);
-  EXPECT_EQ(std::string(clean.begin(), clean.begin() + 8), "MDOSHRD2");
+  EXPECT_EQ(std::string(clean.begin(), clean.begin() + 8), "MDOSHRD3");
   EXPECT_TRUE(frame_accepted(clean));
 }
 
 TEST(Collab, WireRejectsOldProtocolVersionCleanly) {
-  // A well-formed frame from a "MDOSHRD1" peer: same 7-byte prefix, older
+  // A well-formed frame from a "MDOSHRD2" peer: same 7-byte prefix, older
   // version byte, checksum intact. Must be rejected as a version mismatch
   // (clean false -> SolveStatus::kWorkerFailure), not read as payload
   // corruption — and certainly not decoded.
   std::vector<std::uint8_t> old = raw_frame({1, 2, 3});
-  old[7] = static_cast<std::uint8_t>('1');
+  old[7] = static_cast<std::uint8_t>('2');
   EXPECT_FALSE(frame_accepted(old));
 
   // A garbled magic prefix stays rejected too.

@@ -2,7 +2,7 @@
 // ONLY mu layout of sparse solves since the dense-mu A/B switch retired:
 // mu_block_offsets geometry, compact<->dense scatter/gather round trips,
 // solver- and controller-level bit-identity across thread and shard counts,
-// shift_mu horizon edge cases, and the warm-state blob's count()-guarded
+// advance_window edge cases, and the warm-state blob's count()-guarded
 // serialization.
 #include <gtest/gtest.h>
 
@@ -245,54 +245,7 @@ TEST(CompactMu, ChcBitIdenticalAcrossThreadsShards) {
   }
 }
 
-// ---- shift_mu / advance_window edge cases --------------------------------
-
-TEST(CompactMu, ShiftMuHorizonShrinkGrowAndPastHorizon) {
-  workload::PaperScenario scenario;
-  scenario.num_sbs = 2;
-  scenario.num_contents = 4;
-  scenario.classes_per_sbs = 2;
-  scenario.cache_capacity = 2;
-  const auto config = scenario.build().config;
-  const core::MuLayout layout(config);
-  const std::size_t old_horizon = 3;
-
-  linalg::Vec mu(layout.per_slot * old_horizon);
-  for (std::size_t t = 0; t < old_horizon; ++t) {
-    for (std::size_t j = 0; j < layout.per_slot; ++j) {
-      mu[t * layout.per_slot + j] =
-          1000.0 * static_cast<double>(t) + static_cast<double>(j);
-    }
-  }
-
-  const auto expect_maps = [&](const linalg::Vec& out,
-                               std::size_t new_horizon, std::size_t shift) {
-    ASSERT_EQ(out.size(), layout.per_slot * new_horizon);
-    for (std::size_t t = 0; t < new_horizon; ++t) {
-      const std::size_t src = std::min(t + shift, old_horizon - 1);
-      for (std::size_t j = 0; j < layout.per_slot; ++j) {
-        EXPECT_EQ(out[t * layout.per_slot + j],
-                  mu[src * layout.per_slot + j])
-            << "t=" << t << " shift=" << shift;
-      }
-    }
-  };
-
-  // Same horizon, plain slide.
-  expect_maps(core::shift_mu(mu, config, old_horizon, old_horizon, 1),
-              old_horizon, 1);
-  // Horizon shrink and grow while sliding.
-  expect_maps(core::shift_mu(mu, config, old_horizon, 2, 1), 2, 1);
-  expect_maps(core::shift_mu(mu, config, old_horizon, 5, 1), 5, 1);
-  // Shift at/past the old horizon: the last slot repeats everywhere.
-  expect_maps(core::shift_mu(mu, config, old_horizon, old_horizon,
-                             old_horizon),
-              old_horizon, old_horizon);
-  expect_maps(core::shift_mu(mu, config, old_horizon, 2, 7), 2, 7);
-  // Zero shift is the identity on the overlapping prefix.
-  expect_maps(core::shift_mu(mu, config, old_horizon, old_horizon, 0),
-              old_horizon, 0);
-}
+// ---- advance_window edge cases -------------------------------------------
 
 TEST(CompactMu, AdvanceWindowEdgeCasesStayDeterministic) {
   // Two solvers fed the identical call sequence — window solve, slide by 1,

@@ -1,7 +1,9 @@
 // Unit tests for the projected-gradient / FISTA solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "solver/first_order.hpp"
 #include "solver/projection.hpp"
@@ -27,12 +29,22 @@ ValueGradientFn quadratic(const Vec& target) {
   };
 }
 
-ProjectionFn box(double lo, double hi) {
-  return [lo, hi](const Vec& x) {
-    Vec out = x;
-    for (auto& v : out) v = std::clamp(v, lo, hi);
-    return out;
+ProjectionIntoFn box(double lo, double hi) {
+  return [lo, hi](const Vec& x, Vec& out) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      out[i] = std::clamp(x[i], lo, hi);
+    }
   };
+}
+
+ProjectionIntoFn identity() {
+  return [](const Vec& x, Vec& out) { out = x; };
+}
+
+FirstOrderWorkspace start_at(Vec x0) {
+  FirstOrderWorkspace ws;
+  ws.x = std::move(x0);
+  return ws;
 }
 
 TEST(FirstOrder, UnconstrainedQuadraticConverges) {
@@ -41,11 +53,11 @@ TEST(FirstOrder, UnconstrainedQuadraticConverges) {
   options.lipschitz = 2.0;
   options.gradient_tolerance = 1e-10;
   options.max_iterations = 2000;
-  const auto result = minimize_projected(
-      quadratic(target), [](const Vec& x) { return x; }, Vec(3, 0.0),
-      options);
+  FirstOrderWorkspace ws = start_at(Vec(3, 0.0));
+  const auto result =
+      minimize_projected(quadratic(target), identity(), ws, options);
   EXPECT_TRUE(result.converged);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(result.x[i], target[i], 1e-6);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ws.x[i], target[i], 1e-6);
   EXPECT_NEAR(result.objective_value, 0.0, 1e-10);
 }
 
@@ -55,12 +67,13 @@ TEST(FirstOrder, BoxConstraintClampsOptimum) {
   options.lipschitz = 2.0;
   options.gradient_tolerance = 1e-10;
   options.max_iterations = 2000;
-  const auto result = minimize_projected(quadratic(target), box(0.0, 1.0),
-                                         Vec(3, 0.5), options);
+  FirstOrderWorkspace ws = start_at(Vec(3, 0.5));
+  const auto result =
+      minimize_projected(quadratic(target), box(0.0, 1.0), ws, options);
   EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x[0], 1.0, 1e-7);
-  EXPECT_NEAR(result.x[1], 0.0, 1e-7);
-  EXPECT_NEAR(result.x[2], 0.25, 1e-6);
+  EXPECT_NEAR(ws.x[0], 1.0, 1e-7);
+  EXPECT_NEAR(ws.x[1], 0.0, 1e-7);
+  EXPECT_NEAR(ws.x[2], 0.25, 1e-6);
 }
 
 TEST(FirstOrder, PlainGradientAlsoConverges) {
@@ -70,10 +83,11 @@ TEST(FirstOrder, PlainGradientAlsoConverges) {
   options.accelerate = false;
   options.gradient_tolerance = 1e-10;
   options.max_iterations = 5000;
-  const auto result = minimize_projected(quadratic(target), box(0.0, 1.0),
-                                         Vec(2, 0.0), options);
+  FirstOrderWorkspace ws = start_at(Vec(2, 0.0));
+  const auto result =
+      minimize_projected(quadratic(target), box(0.0, 1.0), ws, options);
   EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x[0], 0.5, 1e-6);
+  EXPECT_NEAR(ws.x[0], 0.5, 1e-6);
 }
 
 TEST(FirstOrder, AccelerationIsFasterOnIllConditionedProblem) {
@@ -91,10 +105,11 @@ TEST(FirstOrder, AccelerationIsFasterOnIllConditionedProblem) {
   fast.max_iterations = 20000;
   FirstOrderOptions slow = fast;
   slow.accelerate = false;
-  const auto id = [](const Vec& x) { return x; };
+  FirstOrderWorkspace fast_ws = start_at(Vec(2, 0.0));
+  FirstOrderWorkspace slow_ws = start_at(Vec(2, 0.0));
   const auto accelerated =
-      minimize_projected(objective, id, Vec(2, 0.0), fast);
-  const auto plain = minimize_projected(objective, id, Vec(2, 0.0), slow);
+      minimize_projected(objective, identity(), fast_ws, fast);
+  const auto plain = minimize_projected(objective, identity(), slow_ws, slow);
   EXPECT_TRUE(accelerated.converged);
   EXPECT_TRUE(plain.converged);
   EXPECT_LT(accelerated.iterations, plain.iterations);
@@ -105,10 +120,10 @@ TEST(FirstOrder, InfeasibleStartIsProjectedFirst) {
   FirstOrderOptions options;
   options.lipschitz = 2.0;
   options.max_iterations = 100;
-  const auto result = minimize_projected(quadratic(target), box(0.0, 1.0),
-                                         Vec{25.0}, options);
-  EXPECT_GE(result.x[0], 0.0);
-  EXPECT_LE(result.x[0], 1.0);
+  FirstOrderWorkspace ws = start_at(Vec{25.0});
+  minimize_projected(quadratic(target), box(0.0, 1.0), ws, options);
+  EXPECT_GE(ws.x[0], 0.0);
+  EXPECT_LE(ws.x[0], 1.0);
 }
 
 TEST(FirstOrder, IterationLimitReported) {
@@ -117,9 +132,9 @@ TEST(FirstOrder, IterationLimitReported) {
   options.lipschitz = 2000.0;  // absurdly small steps
   options.max_iterations = 3;
   options.gradient_tolerance = 1e-14;
-  const auto result = minimize_projected(quadratic(target),
-                                         [](const Vec& x) { return x; },
-                                         Vec{0.0}, options);
+  FirstOrderWorkspace ws = start_at(Vec{0.0});
+  const auto result =
+      minimize_projected(quadratic(target), identity(), ws, options);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 3u);
 }
@@ -127,14 +142,12 @@ TEST(FirstOrder, IterationLimitReported) {
 TEST(FirstOrder, ValidatesInputs) {
   FirstOrderOptions options;
   options.lipschitz = 0.0;
-  EXPECT_THROW(minimize_projected(quadratic({1.0}),
-                                  [](const Vec& x) { return x; }, Vec{0.0},
-                                  options),
+  FirstOrderWorkspace ws = start_at(Vec{0.0});
+  EXPECT_THROW(minimize_projected(quadratic({1.0}), identity(), ws, options),
                InvalidArgument);
   options.lipschitz = 1.0;
-  EXPECT_THROW(minimize_projected(quadratic({}),
-                                  [](const Vec& x) { return x; }, Vec{},
-                                  options),
+  FirstOrderWorkspace empty;
+  EXPECT_THROW(minimize_projected(quadratic({}), identity(), empty, options),
                InvalidArgument);
 }
 
@@ -159,11 +172,14 @@ TEST_P(FirstOrderRandomTest, NearOptimalOnRandomQuadratics) {
   options.lipschitz = 2.0;
   options.gradient_tolerance = 1e-9;
   options.max_iterations = 5000;
+  FirstOrderWorkspace ws = start_at(Vec(n, 0.0));
   const auto result = minimize_projected(
       quadratic(target),
-      [&set](const Vec& x) { return project_box_knapsack(x, set); },
-      Vec(n, 0.0), options);
-  EXPECT_TRUE(set.contains(result.x, 1e-6));
+      [&set](const Vec& x, Vec& out) {
+        project_box_knapsack_into(x, set, out);
+      },
+      ws, options);
+  EXPECT_TRUE(set.contains(ws.x, 1e-6));
 
   Rng sampler(GetParam() + 99);
   for (int trial = 0; trial < 300; ++trial) {

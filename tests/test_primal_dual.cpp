@@ -130,14 +130,6 @@ TEST(PrimalDual, MuLayoutHelpers) {
   EXPECT_EQ(per_slot, instance.config.total_classes() *
                           instance.config.num_contents);
   EXPECT_EQ(mu_size(instance.config, 4), 4 * per_slot);
-
-  linalg::Vec mu(3 * per_slot);
-  for (std::size_t i = 0; i < mu.size(); ++i) mu[i] = static_cast<double>(i);
-  const auto shifted = shift_mu(mu, instance.config, 3, 1);
-  // Slot 0 of the shifted vector equals slot 1 of the original.
-  EXPECT_DOUBLE_EQ(shifted[0], mu[per_slot]);
-  // Last slot repeats the original's last slot.
-  EXPECT_DOUBLE_EQ(shifted[2 * per_slot], mu[2 * per_slot]);
 }
 
 /// Property: the primal-dual upper bound is within a few percent of the

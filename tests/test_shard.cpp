@@ -30,6 +30,7 @@
 #include "runtime/supervisor.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/wire.hpp"
+#include "shard/worker.hpp"
 #include "util/error.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -241,6 +242,56 @@ TEST(ShardWire, CorruptionIsRejected) {
   std::vector<std::uint8_t> truncated(clean.begin(),
                                       clean.begin() + clean.size() / 2);
   expect_frame_rejected(truncated);
+}
+
+/// Serves one kBegin frame through an in-process worker loop (EOF after
+/// the frame ends the session) and reports the worker's exit code and
+/// whether it acknowledged the frame.
+int serve_begin(const std::vector<std::uint8_t>& payload, bool* acked) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EXPECT_TRUE(shard::send_frame(fds[0], shard::MessageType::kBegin, payload));
+  ::shutdown(fds[0], SHUT_WR);
+  const int code = shard::worker_main(fds[1]);
+  ::close(fds[1]);
+  shard::MessageType type;
+  std::vector<std::uint8_t> reply;
+  *acked = shard::recv_frame(fds[0], &type, &reply) &&
+           type == shard::MessageType::kBeginAck;
+  ::close(fds[0]);
+  return code;
+}
+
+TEST(ShardWire, UnknownP1BackendIsRejected) {
+  // The backend byte leads the kBegin options block. A corrupt value in an
+  // otherwise well-formed frame (send_frame recomputes the checksum over
+  // the patched payload) must fail the decode cleanly — worker exit code
+  // 3, no kBeginAck — instead of silently selecting a P1 solver.
+  const auto instance = shard_instance(/*sparse=*/false, /*num_sbs=*/2,
+                                       /*horizon=*/2);
+  core::ShardInputs inputs;
+  inputs.config = &instance.config;
+  inputs.demand = &instance.demand;
+  inputs.initial_cache = &instance.initial_cache;
+  const core::MuLayout layout(instance.config);
+  const linalg::Vec mu(core::mu_size(instance.config, 2), 0.0);
+  const std::vector<core::CellState> bank(2 * 2);
+  util::BinaryWriter w;
+  shard::encode_begin(w, inputs, core::ShardOptions{}, 0, 2, layout,
+                      /*mu_offsets=*/nullptr, mu, bank, 2,
+                      /*die_at_iteration=*/-1);
+
+  bool acked = false;
+  EXPECT_EQ(serve_begin(w.bytes(), &acked), 0);
+  EXPECT_TRUE(acked);
+  for (const std::uint8_t bad : {std::uint8_t{2}, std::uint8_t{255}}) {
+    std::vector<std::uint8_t> patched = w.bytes();
+    patched[0] = bad;
+    util::BinaryReader r(patched);
+    EXPECT_THROW(shard::decode_begin(r), InvalidArgument) << int{bad};
+    EXPECT_EQ(serve_begin(patched, &acked), 3) << int{bad};
+    EXPECT_FALSE(acked) << int{bad};
+  }
 }
 
 // ---- Shard-count resolution ------------------------------------------------
