@@ -11,10 +11,8 @@
 // to the data layout and the active-set solves.
 //
 // Each child also reports the resident dual-vector footprint of one RHC
-// window (compact block bytes vs dense layout bytes) and the kEnd/kEndReply
-// wire traffic of a one-off 2-shard solve of that window
-// (shard::wire_stats()), so the sparse path's byte reduction —
-// (mu + kEnd bytes, dense) / (mu + kEnd bytes, sparse) — is measured,
+// window (compact block bytes vs dense layout bytes), so the sparse path's
+// byte reduction — dense mu bytes / compact mu bytes — is measured,
 // reported per point, and gateable with --require-bytes-reduction.
 //
 // min_rate is derived from the Zipf-Mandelbrot pmf: the rate of the rank at
@@ -45,8 +43,8 @@
 //                        speedup reaches X (default 0 = report only)
 //   --require-bytes-reduction X
 //                        exit nonzero unless the largest-K byte reduction
-//                        (resident mu + kEnd wire, dense over sparse)
-//                        reaches X (default 0 = report only)
+//                        (resident mu, dense over compact) reaches X
+//                        (default 0 = report only)
 //   --p99-budget-ms X    exit nonzero when the largest-K sparse run's p99
 //                        decision latency exceeds X ms
 //                        (default 0 = gate off)
@@ -58,17 +56,18 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "core/primal_dual.hpp"
 #include "online/rhc.hpp"
-#include "shard/wire.hpp"
 #include "sim/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
 #include "workload/zipf.hpp"
@@ -104,9 +103,7 @@ struct Measured {
   double p99 = 0.0;
   double total_cost = 0.0;
   long peak_rss_kb = 0;
-  std::uint64_t mu_bytes = 0;        // resident dual vector, one RHC window
-  std::uint64_t wire_end_bytes = 0;  // kEnd + kEndReply, 2-shard window solve
-  std::uint64_t wire_total_bytes = 0;  // all frames, same probe solve
+  std::uint64_t mu_bytes = 0;  // resident dual vector, one RHC window
 };
 
 /// The bench's scenario knobs (shared by parent and --measure child).
@@ -224,46 +221,21 @@ Measured measure(const ScalingSetup& setup, std::size_t contents,
   out.p99 = percentile(decision_seconds, 99.0);
 
   // Byte accounting: the resident dual vector of one RHC window (compact
-  // block bytes vs the dense w*N*M*K layout), and the end-of-solve wire
-  // traffic of a one-off 2-shard solve of that window (the kEndReply frames
-  // carry the mu blocks + warm blobs back to the driver). Done after the
-  // timed run so the probe's worker fleet cannot perturb the latency
-  // numbers.
-  model::DemandTrace window_dense;
-  model::SparseDemandTrace window_sparse;
-  core::HorizonProblem window_problem;
-  window_problem.config = &instance.config;
-  window_problem.initial_cache = instance.initial_cache;
+  // block bytes vs the dense w*N*M*K layout).
   if (sparse) {
-    window_sparse = predictor->predict_window_sparse(0, setup.window);
-    window_problem.sparse_demand = &window_sparse;
-  } else {
-    window_dense = predictor->predict_window(0, setup.window);
-    window_problem.demand = &window_dense;
-  }
-  const std::size_t window_horizon = window_problem.horizon();
-  if (repr == Repr::kSparse) {
+    const model::SparseDemandTrace window =
+        predictor->predict_window_sparse(0, setup.window);
     const core::ActiveSets sets = core::build_active_sets(
-        instance.config, window_sparse, instance.initial_cache);
-    out.mu_bytes = core::mu_block_offsets(instance.config, window_horizon, sets)
-                       .back() *
-                   sizeof(double);
-  } else {
+        instance.config, window, instance.initial_cache);
     out.mu_bytes =
-        core::mu_size(instance.config, window_horizon) * sizeof(double);
-  }
-  {
-    shard::reset_wire_stats();
-    core::PrimalDualOptions probe_options = pd;
-    probe_options.shard_count = 2;
-    core::PrimalDualSolver probe(probe_options);
-    probe.solve(window_problem);
-    const shard::WireStats& wire = shard::wire_stats();
-    const auto end_type = static_cast<std::size_t>(shard::MessageType::kEnd);
-    const auto end_reply =
-        static_cast<std::size_t>(shard::MessageType::kEndReply);
-    out.wire_end_bytes = wire.sent[end_type] + wire.received[end_reply];
-    out.wire_total_bytes = wire.total_sent() + wire.total_received();
+        core::mu_block_offsets(instance.config, window.horizon(), sets)
+            .back() *
+        sizeof(double);
+  } else {
+    const model::DemandTrace window =
+        predictor->predict_window(0, setup.window);
+    out.mu_bytes =
+        core::mu_size(instance.config, window.horizon()) * sizeof(double);
   }
 
   out.peak_rss_kb = bench::self_peak_rss_kb();
@@ -276,8 +248,7 @@ void print_result_line(const Measured& m) {
   os << "RESULT " << m.repr << " " << m.contents << " " << m.min_rate << " "
      << m.nnz_fraction << " " << m.wall_seconds << " "
      << m.mean_decision_seconds << " " << m.p50 << " " << m.p99 << " "
-     << m.total_cost << " " << m.peak_rss_kb << " " << m.mu_bytes << " "
-     << m.wire_end_bytes << " " << m.wire_total_bytes;
+     << m.total_cost << " " << m.peak_rss_kb << " " << m.mu_bytes;
   std::cout << os.str() << "\n" << std::flush;
 }
 
@@ -295,8 +266,7 @@ std::optional<Measured> spawn_measure(const std::string& self,
   Measured m;
   if (fields >> m.repr >> m.contents >> m.min_rate >> m.nnz_fraction >>
       m.wall_seconds >> m.mean_decision_seconds >> m.p50 >> m.p99 >>
-      m.total_cost >> m.peak_rss_kb >> m.mu_bytes >> m.wire_end_bytes >>
-      m.wire_total_bytes) {
+      m.total_cost >> m.peak_rss_kb >> m.mu_bytes) {
     return m;
   }
   std::cerr << "error: malformed RESULT line from: " << command << "\n";
@@ -321,9 +291,7 @@ void json_measured(std::ostream& os, const Measured& m) {
      << ", \"wall_seconds\": " << m.wall_seconds
      << ", \"total_cost\": " << m.total_cost
      << ", \"peak_rss_kb\": " << m.peak_rss_kb
-     << ", \"mu_bytes_resident\": " << m.mu_bytes
-     << ", \"wire_end_bytes\": " << m.wire_end_bytes
-     << ", \"wire_total_bytes\": " << m.wire_total_bytes << "}";
+     << ", \"mu_bytes_resident\": " << m.mu_bytes << "}";
 }
 
 }  // namespace
@@ -364,7 +332,7 @@ int main(int argc, char** argv) {
       Measured sparse;  // compact mu, the only sparse layout
       double speedup = 0.0;
       double rss_ratio = 0.0;
-      double bytes_reduction = 0.0;  // (mu + kEnd) dense over sparse
+      double bytes_reduction = 0.0;  // resident mu, dense over compact
       bool costs_match = false;
     };
     std::vector<Point> points;
@@ -384,12 +352,10 @@ int main(int argc, char** argv) {
                             ? static_cast<double>(dense->peak_rss_kb) /
                                   static_cast<double>(sparse->peak_rss_kb)
                             : 0.0;
-      const double compact_bytes =
-          static_cast<double>(sparse->mu_bytes + sparse->wire_end_bytes);
       point.bytes_reduction =
-          compact_bytes > 0.0
-              ? static_cast<double>(dense->mu_bytes + dense->wire_end_bytes) /
-                    compact_bytes
+          sparse->mu_bytes > 0
+              ? static_cast<double>(dense->mu_bytes) /
+                    static_cast<double>(sparse->mu_bytes)
               : 0.0;
       // Same trace values, same solves on the surviving support, and a mu
       // that is provably zero off the active set: the costs must agree bit
@@ -399,7 +365,7 @@ int main(int argc, char** argv) {
     }
 
     TextTable table({"K", "nnz_frac", "dense_dec_s", "sparse_dec_s", "speedup",
-                     "dense_rss_mb", "sparse_rss_mb", "mu+kend_x",
+                     "dense_rss_mb", "sparse_rss_mb", "mu_bytes_x",
                      "costs_match"});
     for (const auto& p : points) {
       table.add_row({std::to_string(p.dense.contents),
@@ -421,7 +387,7 @@ int main(int argc, char** argv) {
     const double max_k_sparse_p99_ms = points.back().sparse.p99 * 1000.0;
     std::cout << "decision-latency speedup at K=" << points.back().dense.contents
               << ": " << max_k_speedup << "x\n"
-              << "sparse byte reduction (resident mu + kEnd wire) at K="
+              << "sparse byte reduction (resident mu) at K="
               << points.back().dense.contents << ": " << max_k_bytes_reduction
               << "x\n";
     if (!all_match) {
@@ -439,6 +405,10 @@ int main(int argc, char** argv) {
            << "  \"window\": " << setup.window << ",\n"
            << "  \"classes\": " << setup.classes << ",\n"
            << "  \"head_fraction\": " << setup.head_fraction << ",\n"
+           << "  \"threads\": " << util::ThreadPool::configured_threads()
+           << ",\n"
+           << "  \"hardware_concurrency\": "
+           << std::thread::hardware_concurrency() << ",\n"
            << "  \"points\": [\n";
       for (std::size_t i = 0; i < points.size(); ++i) {
         const auto& p = points[i];
@@ -451,7 +421,7 @@ int main(int argc, char** argv) {
         json_measured(json, p.sparse);
         json << ",\n     \"decision_speedup\": " << p.speedup
              << ", \"peak_rss_ratio\": " << p.rss_ratio
-             << ", \"mu_kend_bytes_reduction\": " << p.bytes_reduction
+             << ", \"mu_bytes_reduction\": " << p.bytes_reduction
              << ", \"costs_match\": " << (p.costs_match ? "true" : "false")
              << "}" << (i + 1 == points.size() ? "" : ",") << "\n";
       }

@@ -15,11 +15,9 @@ cd "$(dirname "$0")/.."
 ./build/bench/bench_scaling --json BENCH_scaling.json > results/scaling.txt 2>&1
 ./build/bench/bench_deadline --json results/BENCH_deadline.json > results/deadline.txt 2>&1
 ./build/bench/bench_events --rss-slots 1500 --rss-scale 250 --min-requests 10000000 --json results/BENCH_events.json > results/events.txt 2>&1
-./build/bench/bench_shard --json results/BENCH_shard.json > results/shard.txt 2>&1
 # E15 — compact-mu byte accounting + p99 budget (two-way bitwise guard:
 # dense vs sparse, whose mu always uses the compact active-coordinate
-# layout; >= 2x resident-mu + kEnd-wire byte reduction required at the
-# largest K).
+# layout; >= 2x resident-mu byte reduction required at the largest K).
 ./build/bench/bench_scaling --ks 10000 --require-bytes-reduction 2 --p99-budget-ms 2000 --json results/BENCH_compact_mu.json > results/compact_mu.txt 2>&1
 # E16 — collaborative SBS-to-SBS caching: cooperative vs non-cooperative on
 # ring/grid/geo topologies; fails unless cooperation strictly helps on every

@@ -424,13 +424,16 @@ void P2Workspace::solve_exact(LoadBalancingOutcome& out) {
     y_.swap(exact_y_);
     out.iterations = 1;
   } else {
-    // Bisect the bandwidth multiplier; the load is non-increasing in theta.
+    // Bisect the bandwidth multiplier; the load is non-increasing in theta
+    // and reaches 0 once theta outprices every coordinate, so doubling
+    // brackets it for any finite demand scale.
     double lo = 0.0;
     double hi = 1.0;
     stationary_point(hi);
     while (load_of(coeff_, exact_y_) > budget) {
       hi *= 2.0;
-      MDO_CHECK(hi < 1e30, "exact P2: failed to bracket the multiplier");
+      MDO_CHECK(std::isfinite(hi),
+                "exact P2: failed to bracket the multiplier");
       stationary_point(hi);
     }
     std::size_t iterations = 1;

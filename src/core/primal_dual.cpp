@@ -5,11 +5,9 @@
 #include <limits>
 #include <utility>
 
-#include "shard/coordinator.hpp"
 #include "solver/subgradient.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mdo::core {
 
@@ -42,9 +40,8 @@ bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
   return true;
 }
 
-/// Safe fallback for solves that cannot (kNonFiniteInput) or did not
-/// (kWorkerFailure) run to completion: keep the current cache, serve
-/// everything from the BS, report vacuous bounds.
+/// Safe fallback for solves that cannot run (kNonFiniteInput): keep the
+/// current cache, serve everything from the BS, report vacuous bounds.
 HorizonSolution fallback_solution(const HorizonProblem& problem,
                                   solver::SolveStatus status, bool compact) {
   HorizonSolution degraded;
@@ -105,11 +102,6 @@ PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
               "p1_neighbor_price must be >= 0");
 }
 
-PrimalDualSolver::~PrimalDualSolver() = default;
-PrimalDualSolver::PrimalDualSolver(PrimalDualSolver&&) noexcept = default;
-PrimalDualSolver& PrimalDualSolver::operator=(PrimalDualSolver&&) noexcept =
-    default;
-
 void PrimalDualSolver::advance_window(std::size_t shift) {
   if (shift == 0 || bank_slots_ == 0) return;
   // Ascending t only reads rows > t, which are still the old window's.
@@ -151,7 +143,11 @@ void PrimalDualSolver::restore_state(util::BinaryReader& r) {
     cs.p2.restore_warm_state(r);
     cs.repair.restore_warm_state(r);
   }
-  MDO_REQUIRE(bank_.size() == bank_slots_ * bank_sbs_,
+  // Division, not bank_slots_ * bank_sbs_: the product of two hostile
+  // 64-bit dimensions can wrap to the bank size (2^32 * 2^32 == 0).
+  MDO_REQUIRE(bank_sbs_ == 0 ? bank_.empty()
+                             : bank_.size() % bank_sbs_ == 0 &&
+                                   bank_.size() / bank_sbs_ == bank_slots_,
               "solver snapshot: bank shape mismatch");
   last_horizon_ = r.size();
   last_active_.assign(r.count(), {});
@@ -292,6 +288,12 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     }
     mean_marginal /= std::max<std::size_t>(entries, 1);
   }
+  if (!std::isfinite(mean_marginal)) {
+    // Finite rates so large that the quadratic cost overflows: as unusable
+    // as a NaN window, so take the same fallback before any state changes.
+    return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput,
+                             compact);
+  }
   if (warm_mu != nullptr) {
     if (!compact ||
         (last_horizon_ == w && last_active_ == sets.active)) {
@@ -310,6 +312,13 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       // by the ascent invariant).
       MDO_REQUIRE(last_active_.size() == w * num_sbs,
                   "compact warm mu: geometry shape mismatch");
+      std::size_t old_size = 0;
+      for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
+        old_size += config.sbs[cell % num_sbs].num_classes() *
+                    last_active_[cell].size();
+      }
+      MDO_REQUIRE(warm_mu->size() == old_size,
+                  "compact warm mu: size disagrees with recorded geometry");
       std::size_t old_off = 0;
       for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
         const std::size_t n = cell % num_sbs;
@@ -331,8 +340,6 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
         }
         old_off += classes * oa;
       }
-      MDO_REQUIRE(warm_mu->size() == old_off,
-                  "compact warm mu: size disagrees with recorded geometry");
     } else {
       // No recorded geometry for this horizon (controllers only hand back
       // a mu this solver produced, and the geometry travels with the
@@ -357,8 +364,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // stopped (see solve() in the header); cold solves restart at delta_0.
   const std::size_t step_offset = warm_mu != nullptr ? step_offset_ : 0;
 
-  // ---- The persistent warm-start bank: the zero-allocation hot path, and
-  // the state a sharded solve ships out and reclaims.
+  // ---- The persistent warm-start bank: the zero-allocation hot path.
   bank_.resize(w * num_sbs);
   bank_slots_ = w;
   bank_sbs_ = num_sbs;
@@ -366,7 +372,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // ---- Optional neighbor-demand tilt of P1 (see the option comment):
   // constant per-(n, k, t) reward addends in the P1 layout, computed HERE,
   // serially, from the topology and the window demand — the same values at
-  // every thread and shard count. Shipped once to workers at kBegin.
+  // every thread count.
   std::vector<linalg::Vec> neighbor_rewards;
   if (options_.p1_neighbor_price > 0.0 && config.has_neighbor_tier()) {
     // receivers[n] = peers holding a positive-bandwidth fetch link -> n.
@@ -410,41 +416,23 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       }
     }
   }
-  const std::vector<linalg::Vec>* rewards_ptr =
-      neighbor_rewards.empty() ? nullptr : &neighbor_rewards;
-
-  const std::size_t shards =
-      shard::resolved_shard_count(options_.shard_count, num_sbs);
-  if (shards > 0) {
-    return solve_sharded(problem, deadline, shards, std::move(mu), step_scale,
-                         step_offset, sets, mu_off, rewards_ptr);
-  }
-  return solve_in_process(problem, deadline, std::move(mu), step_scale,
-                          step_offset, std::move(sets), rewards_ptr);
-}
-
-HorizonSolution PrimalDualSolver::solve_in_process(
-    const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-    linalg::Vec mu, double step_scale, std::size_t step_offset,
-    ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards) {
-  const auto& config = *problem.config;
-  const std::size_t w = problem.horizon();
 
   ShardInputs inputs;
   inputs.config = problem.config;
   inputs.initial_cache = &problem.initial_cache;
-  if (problem.use_sparse()) {
+  if (sparse) {
     inputs.sparse_demand = problem.sparse_demand;
   } else {
     inputs.demand = problem.demand;
   }
-  inputs.neighbor_rewards = neighbor_rewards;
+  inputs.neighbor_rewards =
+      neighbor_rewards.empty() ? nullptr : &neighbor_rewards;
   ShardOptions shard_opts;
   shard_opts.backend = options_.backend;
   shard_opts.load_balancing = options_.load_balancing;
 
-  // One full-range shard: the exact pre-refactor loop bodies (see
-  // shard_core.cpp), with every reduction kept below in serial index order.
+  // One full-range ShardCore runs the per-SBS passes (see shard_core.cpp);
+  // every reduction stays below in serial index order.
   ShardCore core;
   core.begin(inputs, shard_opts, bank_, std::move(sets));
 
@@ -494,7 +482,7 @@ HorizonSolution PrimalDualSolver::solve_in_process(
     best.lower_bound = std::max(best.lower_bound, dual_value);
 
     // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
-    core.repair(&schedule);
+    core.repair(schedule);
     const model::CostBreakdown cost = model::schedule_cost(
         config, problem.demand_view(), schedule, problem.initial_cache);
     if (cost.total() < best.upper_bound) {
@@ -521,154 +509,6 @@ HorizonSolution PrimalDualSolver::solve_in_process(
                                << " LB=" << best.lower_bound
                                << " gap=" << best.gap()
                                << " iters=" << best.iterations);
-  return best;
-}
-
-HorizonSolution PrimalDualSolver::solve_sharded(
-    const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-    std::size_t shards, linalg::Vec mu, double step_scale,
-    std::size_t step_offset, const ActiveSets& sets,
-    const std::vector<std::size_t>& mu_offsets,
-    const std::vector<linalg::Vec>* neighbor_rewards) {
-  const auto& config = *problem.config;
-  const std::size_t w = problem.horizon();
-  const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = problem.use_sparse();
-  const bool compact = sparse;
-  const MuLayout layout(config);
-
-  ShardInputs inputs;
-  inputs.config = problem.config;
-  inputs.initial_cache = &problem.initial_cache;
-  if (sparse) {
-    inputs.sparse_demand = problem.sparse_demand;
-  } else {
-    inputs.demand = problem.demand;
-  }
-  inputs.neighbor_rewards = neighbor_rewards;
-  ShardOptions shard_opts;
-  shard_opts.backend = options_.backend;
-  shard_opts.load_balancing = options_.load_balancing;
-
-  if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
-  // A worker death anywhere below aborts the solve without touching the
-  // warm state: `bank_` was only READ (at encode time) and is written back
-  // only by a successful finish(), and step_offset_ is left alone — so the
-  // supervisor's retry of the same solve is bit-identical to the solve that
-  // was lost.
-  auto fail = [&]() {
-    return fallback_solution(problem, solver::SolveStatus::kWorkerFailure,
-                             compact);
-  };
-  if (!coordinator_->begin(inputs, shard_opts, shards, layout,
-                           compact ? &mu_offsets : nullptr, mu, bank_)) {
-    return fail();
-  }
-
-  HorizonSolution best;
-  best.upper_bound = kInf;
-  best.lower_bound = -kInf;
-
-  auto make_schedule = [&]() {
-    model::Schedule schedule(w);
-    for (std::size_t t = 0; t < w; ++t) {
-      schedule[t].cache = model::CacheState(config);
-      schedule[t].load = model::LoadAllocation(config);
-    }
-    return schedule;
-  };
-  model::Schedule schedule = make_schedule();
-
-  const solver::DiminishingStep step(options_.step_alpha);
-  bool deadline_expired = false;
-  // The projected step for iteration l is applied lazily: computed here
-  // after the gap check, shipped with the NEXT kIterate (workers update
-  // their mu slices before solving — each coordinate's update is
-  // independent, so slice-local application is bit-identical), or with
-  // kEnd when the loop stops with the step still pending. That keeps mu
-  // entirely off the per-iteration wire.
-  bool pending = false;
-  double pending_delta = 0.0;
-  shard::IterationOutputs out;
-  for (std::size_t iteration = 0; iteration < options_.max_iterations;
-       ++iteration) {
-    // Same serial-point poll (and poll count) as the in-process loop.
-    if (iteration > 0 && deadline != nullptr && deadline->poll()) {
-      deadline_expired = true;
-      break;
-    }
-    if (!coordinator_->iterate(pending, pending_delta, &out)) return fail();
-    pending = false;
-    double p1_value = 0.0;
-    for (const double value : out.p1_objectives) p1_value += value;
-    double p2_value = 0.0;
-    for (const double value : out.p2_objectives) p2_value += value;
-    const double dual_value = p1_value + p2_value;
-    best.lower_bound = std::max(best.lower_bound, dual_value);
-
-    // ---- Assemble the repaired schedule from the workers' x bits and
-    // repaired loads — the schedule-writing half of ShardCore::repair(),
-    // driven from the full-range active sets. Pure per-cell writes; the
-    // serial cost reduction below is what defines the upper bound.
-    util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
-      const std::size_t t = cell / num_sbs;
-      const std::size_t n = cell % num_sbs;
-      if (sparse) {
-        const std::vector<std::size_t>& al = sets.active[cell];
-        const std::vector<std::size_t>& map = sets.cell_p1[cell];
-        const std::size_t kp = sets.p1_list[n].size();
-        const std::size_t classes = config.sbs[n].num_classes();
-        const std::size_t a_count = al.size();
-        const linalg::Vec& y = out.repair_y[cell];
-        linalg::Vec& dense = schedule[t].load.sbs_data(n);
-        for (std::size_t i = 0; i < a_count; ++i) {
-          schedule[t].cache.set(n, al[i], out.x[n][t * kp + map[i]] != 0);
-        }
-        for (std::size_t m = 0; m < classes; ++m) {
-          for (std::size_t i = 0; i < a_count; ++i) {
-            dense[m * k_count + al[i]] = y[m * a_count + i];
-          }
-        }
-      } else {
-        for (std::size_t k = 0; k < k_count; ++k) {
-          schedule[t].cache.set(n, k, out.x[n][t * k_count + k] != 0);
-        }
-        schedule[t].load.sbs_data(n) = std::move(out.repair_y[cell]);
-      }
-    });
-    const model::CostBreakdown cost = model::schedule_cost(
-        config, problem.demand_view(), schedule, problem.initial_cache);
-    if (cost.total() < best.upper_bound) {
-      best.upper_bound = cost.total();
-      std::swap(best.schedule, schedule);
-      if (schedule.size() != w) schedule = make_schedule();
-    }
-
-    best.iterations = iteration + 1;
-    if (best.gap() <= options_.epsilon) break;
-
-    pending_delta = step_scale * step(step_offset + iteration);
-    pending = true;
-  }
-
-  // Close the session: workers apply a still-pending final step (matching
-  // the in-process loop, whose dual update has already run when the
-  // deadline or the iteration budget stops it) and return the final mu and
-  // the warm-start bank to the driver.
-  if (!coordinator_->finish(pending, pending_delta, mu, bank_)) return fail();
-
-  best.mu = std::move(mu);
-  step_offset_ = best.iterations;
-  best.status = best.gap() <= options_.epsilon
-                    ? solver::SolveStatus::kConverged
-                : deadline_expired ? solver::SolveStatus::kDeadlineExpired
-                                   : solver::SolveStatus::kIterationLimit;
-  MDO_CHECK(!best.schedule.empty(), "primal-dual produced no schedule");
-  MDO_TRACE("primal-dual[" << shards << " shards]: UB=" << best.upper_bound
-                           << " LB=" << best.lower_bound
-                           << " gap=" << best.gap()
-                           << " iters=" << best.iterations);
   return best;
 }
 

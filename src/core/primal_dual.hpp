@@ -19,14 +19,11 @@
 // (window = prediction horizon, predicted demand).
 //
 // The per-SBS / per-(slot, SBS) loop bodies live in core::ShardCore
-// (shard_core.hpp): the solver here runs one full-range shard in process,
-// or — with PrimalDualOptions::shard_count / MDO_SHARDS — fans the shards
-// out to worker subprocesses through shard::Coordinator, with bitwise-equal
-// results (DESIGN.md §11).
+// (shard_core.hpp): the solver drives one full-range ShardCore, whose
+// passes the thread pool parallelizes.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -40,10 +37,6 @@
 #include "model/demand.hpp"
 #include "model/network.hpp"
 #include "model/sparse_demand.hpp"
-
-namespace mdo::shard {
-class Coordinator;
-}  // namespace mdo::shard
 
 namespace mdo::core {
 
@@ -98,16 +91,6 @@ struct PrimalDualOptions {
   /// pre-topology solver. In sparse mode the tilt only reaches contents in
   /// the SBS's restricted window union (others stay un-cacheable there).
   double p1_neighbor_price = 0.0;
-  /// Process-level scale-out (DESIGN.md §11): number of worker subprocesses
-  /// the dual decomposition is sharded over. 0 defers to the MDO_SHARDS
-  /// environment variable (unset/0 = solve in process); N >= 1 forces N
-  /// workers (1 still exercises the full RPC path);
-  /// shard::kShardsInProcess forces the in-process path regardless of the
-  /// environment. Results are bitwise-identical at every shard count; a
-  /// worker death surfaces as SolveStatus::kWorkerFailure with a safe
-  /// fallback schedule, and the next solve() respawns the fleet and — the
-  /// warm state lives driver-side — reproduces the lost result exactly.
-  std::size_t shard_count = 0;
 };
 
 struct HorizonSolution {
@@ -117,18 +100,15 @@ struct HorizonSolution {
   std::size_t iterations = 0; // dual iterations performed
   /// Final multipliers (for warm starts): dense layout for dense-demand
   /// solves, the compact active-coordinate layout (core::mu_block_offsets
-  /// geometry) for sparse-demand solves. Empty in a sparse fallback
-  /// (kNonFiniteInput/kWorkerFailure), which safely disables same-window
-  /// warm starts downstream.
+  /// geometry) for sparse-demand solves. Empty in a sparse kNonFiniteInput
+  /// fallback, which safely disables same-window warm starts downstream.
   linalg::Vec mu;
   /// How the solve terminated. kNonFiniteInput means the demand window held
-  /// NaN/Inf/negative rates: the schedule is then the safe fallback (carry
-  /// the initial cache, serve everything from the BS) and the bounds are
-  /// meaningless (UB = +inf, LB = -inf). kWorkerFailure means a shard
-  /// worker subprocess died mid-solve: same safe fallback, and the solver's
-  /// warm state is untouched so a retry reproduces the lost solve exactly.
-  /// kIterationLimit still delivers the best feasible repaired schedule
-  /// found within the budget.
+  /// NaN/Inf/negative rates, or rates so large that the quadratic cost
+  /// overflows: the schedule is then the safe fallback (carry the initial
+  /// cache, serve everything from the BS) and the bounds are meaningless
+  /// (UB = +inf, LB = -inf). kIterationLimit still delivers the best
+  /// feasible repaired schedule found within the budget.
   solver::SolveStatus status = solver::SolveStatus::kConverged;
 
   /// Relative optimality gap (UB - LB) / max(|UB|, 1e-12).
@@ -142,11 +122,6 @@ std::size_t mu_size(const model::NetworkConfig& config, std::size_t horizon);
 class PrimalDualSolver {
  public:
   explicit PrimalDualSolver(PrimalDualOptions options = {});
-  ~PrimalDualSolver();
-
-  /// Move-only: the solver owns its (lazily spawned) shard worker fleet.
-  PrimalDualSolver(PrimalDualSolver&&) noexcept;
-  PrimalDualSolver& operator=(PrimalDualSolver&&) noexcept;
 
   /// Solves the window problem. Without `warm_mu` the multipliers start at
   /// the marginal BS-cost gradient. `warm_mu` (layout above, sized for the
@@ -188,24 +163,11 @@ class PrimalDualSolver {
   /// binding metadata, plus the step-schedule offset). Restoring into a
   /// solver constructed with the same options makes every subsequent
   /// solve() bit-identical to one on the original — the checkpoint/resume
-  /// contract (see runtime/checkpoint.hpp). The bank lives driver-side even
-  /// when solves are sharded out (workers return it at end-of-solve), so
-  /// the snapshot is shard-count-independent.
+  /// contract (see runtime/checkpoint.hpp).
   void save_state(util::BinaryWriter& w) const;
   void restore_state(util::BinaryReader& r);
 
  private:
-  HorizonSolution solve_in_process(
-      const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-      linalg::Vec mu, double step_scale, std::size_t step_offset,
-      ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards);
-  HorizonSolution solve_sharded(
-      const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-      std::size_t shards, linalg::Vec mu, double step_scale,
-      std::size_t step_offset, const ActiveSets& sets,
-      const std::vector<std::size_t>& mu_offsets,
-      const std::vector<linalg::Vec>* neighbor_rewards);
-
   PrimalDualOptions options_;
   std::vector<CellState> bank_;  // cell = t * num_sbs + n
   std::size_t bank_slots_ = 0;
@@ -220,9 +182,6 @@ class PrimalDualSolver {
   /// Where the previous solve's diminishing-step schedule stopped; a
   /// warm-started solve resumes from here (see solve()).
   std::size_t step_offset_ = 0;
-  /// Worker fleet for sharded solves; spawned on first use, torn down on
-  /// any worker failure (and respawned by the next sharded solve).
-  std::unique_ptr<shard::Coordinator> coordinator_;
 };
 
 }  // namespace mdo::core

@@ -68,15 +68,6 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
 }
 
 void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
-                      std::vector<CellState>& bank) {
-  ActiveSets sets;
-  if (in.sparse()) {
-    sets = build_active_sets(*in.config, *in.sparse_demand, *in.initial_cache);
-  }
-  begin(in, opts, bank, std::move(sets));
-}
-
-void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
                       std::vector<CellState>& bank, ActiveSets sets) {
   MDO_REQUIRE(in.config != nullptr && in.initial_cache != nullptr,
               "shard core: config and initial cache must be set");
@@ -217,7 +208,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
       }
       // Constant neighbor-demand tilt (ShardInputs::neighbor_rewards):
       // added AFTER the mu sums, serially within this SBS's task, so the
-      // addition order is independent of thread and shard counts.
+      // addition order is independent of the thread count.
       if (inputs_.neighbor_rewards != nullptr) {
         const linalg::Vec& tilt = (*inputs_.neighbor_rewards)[n];
         if (!tilt.empty()) {
@@ -256,7 +247,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
   });
 }
 
-void ShardCore::repair(model::Schedule* schedule) {
+void ShardCore::repair(model::Schedule& schedule) {
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
@@ -281,7 +272,7 @@ void ShardCore::repair(model::Schedule* schedule) {
       ub.assign(classes * a_count, 0.0);
       for (std::size_t i = 0; i < a_count; ++i) {
         const bool cached = x_[n][t * kp + map[i]] != 0;
-        if (schedule != nullptr) (*schedule)[t].cache.set(n, al[i], cached);
+        schedule[t].cache.set(n, al[i], cached);
         if (cached) {
           for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
         }
@@ -290,7 +281,7 @@ void ShardCore::repair(model::Schedule* schedule) {
       ub.assign(classes * k_count, 0.0);
       for (std::size_t k = 0; k < k_count; ++k) {
         const bool cached = x_[n][t * k_count + k] != 0;
-        if (schedule != nullptr) (*schedule)[t].cache.set(n, k, cached);
+        schedule[t].cache.set(n, k, cached);
         if (cached) {
           for (std::size_t m = 0; m < classes; ++m) ub[m * k_count + k] = 1.0;
         }
@@ -303,11 +294,10 @@ void ShardCore::repair(model::Schedule* schedule) {
       cs.repair.set_upper(ub);
       solve_load_balancing(cs.repair, options_.load_balancing);
     }
-    if (schedule == nullptr) return;
     if (sparse) {
-      cs.repair.scatter_solution((*schedule)[t].load.sbs_data(n));
+      cs.repair.scatter_solution(schedule[t].load.sbs_data(n));
     } else {
-      (*schedule)[t].load.sbs_data(n) = cs.repair.y();
+      schedule[t].load.sbs_data(n) = cs.repair.y();
     }
   });
 }
@@ -324,9 +314,7 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
   // mode only active coordinates exist (compact layout); off the active
   // set y = 0 and x = 0, so the dense update would compute
   // max(0, mu + 0) = mu = 0. Every coordinate updates independently of all
-  // others, so a worker applying this to its slice produces the same
-  // values as the full-range update — no cross-shard state is involved —
-  // and cells update in parallel (each owns a disjoint mu range).
+  // others, so cells update in parallel (each owns a disjoint mu range).
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;

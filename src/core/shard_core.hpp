@@ -1,25 +1,20 @@
-// Shard-local core of the primal-dual decomposition (Algorithm 1).
+// Per-SBS core of the primal-dual decomposition (Algorithm 1).
 //
 // The Lagrangian separates per SBS — P1 per SBS over the window, P2/repair
-// per (slot, SBS) — so a contiguous range of SBSs can be solved by an
-// independent "shard" that owns its P1 flow networks, its P2 workspace bank
-// and its slice of the multipliers. ShardCore is that unit of work:
+// per (slot, SBS). ShardCore owns the per-SBS P1 flow networks, binds the
+// per-(slot, SBS) P2 workspace bank, and runs those independent pieces on
+// the thread pool:
 //
-//   begin()        binds the shard to a window problem (its NetworkConfig
-//                  slice, demand window, initial cache and workspace bank),
+//   begin()        binds the core to a window problem (config, demand
+//                  window, initial cache and workspace bank),
 //   iterate(mu)    runs one dual iteration's P1 + P2 passes,
 //   repair()       re-solves P2 with ub = x for the feasible incumbent,
 //   dual_update()  applies the projected subgradient step to mu.
 //
-// The in-process solver runs ONE full-range ShardCore (the exact loop bodies
-// this file was extracted from, so results are bit-identical to the
-// pre-refactor solver); the process-level coordinator (src/shard/) runs one
-// ShardCore per worker subprocess over a slice config. The thread pool still
-// parallelizes inside a shard, and every floating-point accumulation that
-// determines the result (P1/P2 sums, costs, bounds) stays OUTSIDE this
-// class, in the driver, in canonical serial index order — that is the
-// determinism argument for both thread- and shard-count invariance
-// (DESIGN.md §11).
+// core::PrimalDualSolver drives one full-range ShardCore. Every floating-
+// point accumulation that determines the result (P1/P2 sums, costs, bounds)
+// stays OUTSIDE this class, in the solver, in canonical serial index order —
+// that is the determinism argument for thread-count invariance.
 #pragma once
 
 #include <cstddef>
@@ -77,10 +72,9 @@ struct CellState {
 /// Sparse-mode index structures, deterministic functions of (demand window,
 /// initial cache): per-cell active sets (support union cached), the per-SBS
 /// sorted union over the window (P1's restricted content list), and the
-/// per-cell map from active position to P1 position. Built identically by
-/// the in-process solver, by each worker over its slice, and by the
-/// coordinator's driver over the full range (which needs them to derive
-/// cache bits and scatter repair loads from the wire blocks).
+/// per-cell map from active position to P1 position. Built once per solve by
+/// the solver, which sizes the compact mu from them and then moves them
+/// into ShardCore::begin.
 struct ActiveSets {
   std::vector<std::vector<std::size_t>> active;   // per cell
   std::vector<std::vector<std::size_t>> p1_list;  // per SBS, sorted union
@@ -93,26 +87,21 @@ ActiveSets build_active_sets(const model::NetworkConfig& config,
 
 /// Block offsets of the COMPACT mu vector: cell = t * num_sbs + n owns the
 /// half-open range [offsets[cell], offsets[cell + 1]), which holds its
-/// M_n x |active[cell]| multipliers in (class-major, active-position) order
-/// — exactly the per-cell block layout the shard wire protocol has always
-/// shipped. offsets.back() is the compact vector's total size. A
-/// deterministic function of (config, horizon, sets), so the driver, the
-/// coordinator and every worker (over its slice) derive identical
-/// geometry independently.
+/// M_n x |active[cell]| multipliers in (class-major, active-position) order.
+/// offsets.back() is the compact vector's total size. A deterministic
+/// function of (config, horizon, sets).
 std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
                                           std::size_t horizon,
                                           const ActiveSets& sets);
 
-/// The subset of PrimalDualOptions a shard needs (kept separate so workers
-/// deserialize exactly these and nothing solver-lifecycle-related).
+/// The subset of PrimalDualOptions the per-SBS passes need.
 struct ShardOptions {
   P1Backend backend = P1Backend::kFlow;
   LoadBalancingOptions load_balancing{};
 };
 
-/// Non-owning window problem handed to a shard. In a worker subprocess the
-/// config/demand/cache are the deserialized slice; in-process they are the
-/// full-range originals. Exactly one demand pointer is set.
+/// Non-owning window problem handed to ShardCore. Exactly one demand pointer
+/// is set.
 struct ShardInputs {
   const model::NetworkConfig* config = nullptr;
   const model::DemandTrace* demand = nullptr;
@@ -123,8 +112,8 @@ struct ShardInputs {
   /// content list in sparse mode, [t * K + k] dense), computed serially by
   /// the driver from the topology and the window demand and added to
   /// sub.rewards each iteration. Constants of the solve — they never change
-  /// between dual iterations — so workers receive their slice once at
-  /// kBegin. Null or per-SBS empty vectors mean no tilt (the default).
+  /// between dual iterations. Null or per-SBS empty vectors mean no tilt
+  /// (the default).
   const std::vector<linalg::Vec>* neighbor_rewards = nullptr;
 
   bool sparse() const { return sparse_demand != nullptr; }
@@ -136,57 +125,39 @@ struct ShardInputs {
 
 class ShardCore {
  public:
-  /// Binds the shard to a window problem. `bank` (cell = t * num_sbs + n,
-  /// resized here) must outlive the shard's use; its workspaces keep their
-  /// warm starts — begin() re-binds them to the new window exactly like the
-  /// pre-refactor solve() prologue. `sets` must be the structures
-  /// build_active_sets returns for these inputs (moved in so the in-process
-  /// driver, which also needs them, builds them once); ignored in dense
-  /// mode. The overload without `sets` builds them internally (workers).
+  /// Binds the core to a window problem. `bank` (cell = t * num_sbs + n,
+  /// resized here) must outlive the core's use; its workspaces keep their
+  /// warm starts — begin() re-binds them to the new window. `sets` must be
+  /// the structures build_active_sets returns for these inputs (moved in so
+  /// the solver, which also needs them, builds them once); ignored in dense
+  /// mode.
   void begin(const ShardInputs& in, const ShardOptions& opts,
              std::vector<CellState>& bank, ActiveSets sets);
-  void begin(const ShardInputs& in, const ShardOptions& opts,
-             std::vector<CellState>& bank);
 
   /// One dual iteration's P1 (caching per SBS under rewards nu = sum_m mu)
   /// and P2 (load balancing per cell with linear term mu) passes, batched
   /// into a SINGLE task-pool submission (P1 and P2 are independent within
   /// an iteration — repair is a separate call — so one fused parallel_for
   /// amortizes dispatch at large N). Each task writes only its own slot;
-  /// no reductions happen here. `mu` is compact (mu_offsets geometry) when
-  /// compact() is true, dense-layout otherwise.
+  /// no reductions happen here. `mu` is compact (mu_block_offsets
+  /// geometry) for sparse-demand inputs, dense-layout otherwise.
   void iterate(const linalg::Vec& mu);
 
   /// Feasibility repair for the current x: P2 with c = 0 and ub = x per
-  /// cell. When `schedule` is non-null (the in-process driver), cache bits
-  /// and load rows are written into it (slots sized for this shard's
-  /// config); a worker passes null and ships the workspace solutions
-  /// instead. The repaired y stays in bank[cell].repair either way.
-  void repair(model::Schedule* schedule);
+  /// cell. Cache bits and load rows are written into `schedule` (one slot
+  /// per window slot, sized for the config); the repaired y also stays in
+  /// bank[cell].repair.
+  void repair(model::Schedule& schedule);
 
   /// Projected subgradient ascent on mu: g = y - x (17), coordinatewise
   /// max(0, mu + delta * g). Each coordinate's update is independent, so
-  /// workers apply it to their slice with values bit-identical to the
-  /// full-range update, and cells update in parallel (disjoint mu ranges).
+  /// cells update in parallel (disjoint mu ranges).
   void dual_update(double delta, linalg::Vec& mu);
 
   // Per-index outputs of the last iterate(); the driver reduces them
   // serially in global index order.
   const std::vector<double>& p1_objectives() const { return p1_objectives_; }
   const std::vector<double>& p2_objectives() const { return p2_objectives_; }
-  /// Per SBS: the P1 schedule, [t * kp + i] over the restricted list.
-  const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
-  const ActiveSets& sets() const { return sets_; }
-  /// True when this solve stores mu compactly — always, for sparse-demand
-  /// solves (the dense-layout sparse-mu A/B path is retired, DESIGN.md §12).
-  bool compact() const { return sparse_; }
-  /// Compact block offsets (cells + 1 entries); empty unless compact().
-  const std::vector<std::size_t>& mu_offsets() const { return mu_off_; }
-  /// kp of SBS n: restricted catalogue size (sparse) or K (dense).
-  std::size_t p1_contents(std::size_t n) const {
-    return p1_[n].sub.num_contents;
-  }
-  const std::vector<CellState>& bank() const { return *bank_; }
 
  private:
   struct P1State {

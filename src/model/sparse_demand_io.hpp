@@ -8,8 +8,9 @@
 // a loaded trace compares operator== equal to the saved one, bit for bit.
 //
 // Two layers:
-//  - write_/read_ against Binary{Writer,Reader}: embeddable payload codecs,
-//    shared by the shard wire format (src/shard/wire.cpp) and checkpoints.
+//  - write_/read_ against Binary{Writer,Reader}: payload codecs that embed
+//    a trace in any larger BinaryWriter payload; the file layer below is
+//    built on them.
 //  - save_/load_sparse_trace: a framed file ("MDOSTRC1" magic, version,
 //    payload size, FNV-1a checksum) written atomically; load throws
 //    util::InvalidArgument on any corruption instead of restoring garbage.

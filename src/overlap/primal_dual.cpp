@@ -148,8 +148,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
 
   // ---- Per-SBS P1 state, reused across dual iterations (shape and initial
   // cache are fixed for the whole solve; only the rewards change). Owned by
-  // the shard-local P1 core; overlap binds the full SBS range in process
-  // (P2 couples SBSs within a slot, so there is nothing to shard by SBS).
+  // the P1 core, bound over the full SBS range.
   OverlapP1Core p1;
   p1.begin(problem, 0, config.num_sbs());
   const std::vector<std::vector<std::uint8_t>>& x = p1.x();  // [t*K + k]

@@ -47,13 +47,11 @@ struct OverlapHorizonSolution {
   double gap() const;
 };
 
-/// Shard-local core of the overlap P1 stage: owns the per-SBS caching
-/// subproblems and flow workspaces for a contiguous SBS range and runs one
-/// dual iteration's worth of P1 solves over it. Structured like
-/// core::ShardCore (DESIGN.md §11) so the per-SBS state has a single owner,
-/// but overlap stays in-process only: its P2 couples every SBS within a
-/// slot through the shared overlap links, so the slot-major stages cannot
-/// be partitioned by SBS the way the core solver's can.
+/// Core of the overlap P1 stage: owns the per-SBS caching subproblems and
+/// flow workspaces for a contiguous SBS range and runs one dual iteration's
+/// worth of P1 solves over it. Structured like core::ShardCore so the
+/// per-SBS state has a single owner; the overlap P2 couples every SBS
+/// within a slot through the shared overlap links, so only P1 lives here.
 class OverlapP1Core {
  public:
   /// Binds per-SBS P1 state (and builds each SBS's flow network, re-priced

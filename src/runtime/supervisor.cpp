@@ -44,7 +44,6 @@ struct TruncatedProblem {
 
 bool usable(const core::HorizonSolution& solution) {
   return solution.status != solver::SolveStatus::kNonFiniteInput &&
-         solution.status != solver::SolveStatus::kWorkerFailure &&
          std::isfinite(solution.upper_bound);
 }
 
@@ -102,38 +101,6 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
   if (usable(primary)) return primary;  // clean path: exactly one solve
 
   record(SupervisionEventKind::kSolveFailure, 0, problem.horizon(), primary);
-
-  if (primary.status == solver::SolveStatus::kWorkerFailure) {
-    // A shard worker subprocess died. Unlike a poisoned window this failure
-    // is transient, and the solver's warm state was deliberately left
-    // untouched by the aborted solve — so the retry runs the SAME problem
-    // on the SAME solver (no tolerance relax, no truncation): it respawns
-    // the worker fleet and reproduces the lost solve bit-identically.
-    for (std::size_t attempt = 1; attempt <= options.max_retries; ++attempt) {
-      core::HorizonSolution retry = solver.solve(problem, warm_mu, deadline);
-      record(SupervisionEventKind::kRetry, attempt, problem.horizon(), retry);
-      if (usable(retry)) {
-        record(SupervisionEventKind::kRecovered, attempt, problem.horizon(),
-               retry);
-        MDO_TRACE("supervisor: slot " << slot
-                                      << " recovered from worker failure at "
-                                         "attempt "
-                                      << attempt);
-        return retry;
-      }
-      if (retry.status != solver::SolveStatus::kWorkerFailure) {
-        primary = std::move(retry);
-        break;
-      }
-    }
-    record(SupervisionEventKind::kExhausted, options.max_retries,
-           problem.horizon(), primary);
-    MDO_WARN("supervisor: slot "
-             << slot
-             << " exhausted worker-failure retries; serving the safe "
-                "fallback schedule");
-    return primary;
-  }
 
   // Unsupervised callers (no log) keep the legacy single-solve behavior:
   // the safe fallback schedule is returned and the controller's own

@@ -113,9 +113,17 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t source, std::size_t sink,
     shortest_path(source);
     if (dist_[sink] >= kInf) break;  // no more augmenting paths
 
-    // Bottleneck along the path.
+    // Bottleneck along the path. A simple path has fewer arcs than nodes;
+    // a longer walk means rounding left a predecessor cycle (costs far
+    // beyond the 1e-12 relaxation tolerance), which would never reach the
+    // source.
     std::int64_t push = max_flow - result.flow;
+    std::size_t path_arcs = 0;
     for (std::size_t v = sink; v != source;) {
+      if (++path_arcs > graph_.size()) {
+        throw SolverError("min-cost flow: predecessor cycle (cost scale too "
+                          "large for the relaxation tolerance)");
+      }
       const Arc& arc = arcs_[prev_arc_[v]];
       push = std::min(push, arc.capacity);
       v = arcs_[arc.reverse].to;

@@ -17,8 +17,6 @@ enum class SolveStatus {
   kNonFiniteInput,  // NaN/Inf detected in the inputs; result is a safe default
   kDeadlineExpired,  // decision budget ran out; result is the best feasible
                      // incumbent found so far (anytime semantics)
-  kWorkerFailure,    // a shard worker subprocess died mid-solve; result is a
-                     // safe default (the supervisor retries the same solve)
 };
 
 constexpr const char* to_string(SolveStatus status) {
@@ -28,7 +26,6 @@ constexpr const char* to_string(SolveStatus status) {
     case SolveStatus::kInfeasible: return "infeasible";
     case SolveStatus::kNonFiniteInput: return "non_finite_input";
     case SolveStatus::kDeadlineExpired: return "deadline_expired";
-    case SolveStatus::kWorkerFailure: return "worker_failure";
   }
   return "?";
 }

@@ -1,16 +1,10 @@
 // Tests for the collaborative SBS-to-SBS caching tier (DESIGN.md §13):
 // the degenerate-topology transparency contract (no topology -> bitwise
-// the pre-refactor results, for every controller, at every thread and
-// shard count), cooperative <= non-cooperative on every generator,
-// rounding/repair feasibility under inter-SBS link caps, the
-// zero-bandwidth edge case, and the MDOSHRD3 wire behavior for the
-// neighbor fields.
+// the pre-refactor results, for every controller, at every thread count),
+// cooperative <= non-cooperative on every generator, rounding/repair
+// feasibility under inter-SBS link caps, and the zero-bandwidth edge case.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,8 +18,6 @@
 #include "online/offline_controller.hpp"
 #include "online/rhc.hpp"
 #include "online/robust_controller.hpp"
-#include "shard/coordinator.hpp"
-#include "shard/wire.hpp"
 #include "sim/simulator.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
@@ -81,11 +73,10 @@ std::unique_ptr<online::Controller> make_controller(
 /// executed schedule through `result_out`).
 sim::SimulationResult run_one(const model::ProblemInstance& instance,
                               const std::string& which, bool cooperative,
-                              std::size_t threads, std::size_t shards,
+                              std::size_t threads,
                               bool record_schedule = false) {
   util::ThreadPool::set_global_threads(threads);
-  core::PrimalDualOptions pd;
-  pd.shard_count = shards;
+  const core::PrimalDualOptions pd;
   std::unique_ptr<online::Controller> inner;
   const auto controller = make_controller(which, pd, inner);
   const workload::NoisyPredictor predictor(instance.demand, 0.1, 99);
@@ -108,8 +99,7 @@ TEST(Collab, EmptyTopologyBitwiseTransparentForEveryController) {
 
   for (const std::string& which : controller_names()) {
     const sim::SimulationResult want = run_one(
-        instance, which, /*cooperative=*/false, 1, shard::kShardsInProcess,
-        /*record_schedule=*/true);
+        instance, which, /*cooperative=*/false, 1, /*record_schedule=*/true);
     // No topology -> no neighbor bank anywhere, zero neighbor cost.
     EXPECT_EQ(want.total.neigh, 0.0) << which;
     for (const auto& decision : want.schedule) {
@@ -117,16 +107,12 @@ TEST(Collab, EmptyTopologyBitwiseTransparentForEveryController) {
     }
     for (const bool cooperative : {false, true}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const std::size_t shards :
-             {shard::kShardsInProcess, std::size_t{2}}) {
-          const sim::SimulationResult got =
-              run_one(instance, which, cooperative, threads, shards);
-          EXPECT_EQ(got.total.total(), want.total.total())
-              << which << " coop=" << cooperative << " threads=" << threads
-              << " shards=" << shards;
-          EXPECT_EQ(got.total.bs, want.total.bs) << which;
-          EXPECT_EQ(got.total.neigh, 0.0) << which;
-        }
+        const sim::SimulationResult got =
+            run_one(instance, which, cooperative, threads);
+        EXPECT_EQ(got.total.total(), want.total.total())
+            << which << " coop=" << cooperative << " threads=" << threads;
+        EXPECT_EQ(got.total.bs, want.total.bs) << which;
+        EXPECT_EQ(got.total.neigh, 0.0) << which;
       }
     }
   }
@@ -144,10 +130,8 @@ TEST(Collab, ZeroBandwidthLinksBehaveAsNoTopology) {
   ASSERT_FALSE(zero_bw.config.has_neighbor_tier());
 
   for (const std::string& which : {std::string("rhc"), std::string("lrfu")}) {
-    const auto want = run_one(baseline, which, true, 1,
-                              shard::kShardsInProcess);
-    const auto got = run_one(zero_bw, which, true, 1,
-                             shard::kShardsInProcess, true);
+    const auto want = run_one(baseline, which, true, 1);
+    const auto got = run_one(zero_bw, which, true, 1, true);
     EXPECT_EQ(got.total.total(), want.total.total()) << which;
     EXPECT_EQ(got.total.neigh, 0.0) << which;
     for (const auto& decision : got.schedule) {
@@ -170,10 +154,8 @@ TEST(Collab, CooperativeNeverCostsMoreOnAnyGenerator) {
     ASSERT_TRUE(instance.config.has_neighbor_tier());
     for (const std::string& which :
          {std::string("rhc"), std::string("chc"), std::string("lrfu")}) {
-      const auto coop = run_one(instance, which, true, 1,
-                                shard::kShardsInProcess);
-      const auto noncoop = run_one(instance, which, false, 1,
-                                   shard::kShardsInProcess);
+      const auto coop = run_one(instance, which, true, 1);
+      const auto noncoop = run_one(instance, which, false, 1);
       EXPECT_LE(coop.total.total(), noncoop.total.total())
           << "kind=" << static_cast<int>(kind) << " " << which;
       EXPECT_EQ(noncoop.total.neigh, 0.0);
@@ -184,17 +166,10 @@ TEST(Collab, CooperativeNeverCostsMoreOnAnyGenerator) {
 TEST(Collab, CooperativeRunBitIdenticalAcrossThreadsAndShards) {
   const auto instance =
       small_scenario(workload::NeighborTopologyKind::kRing, 5.0).build();
-  const auto want =
-      run_one(instance, "rhc", true, 1, shard::kShardsInProcess);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t shards :
-         {shard::kShardsInProcess, std::size_t{2}}) {
-      const auto got = run_one(instance, "rhc", true, threads, shards);
-      EXPECT_EQ(got.total.total(), want.total.total())
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.total.neigh, want.total.neigh);
-    }
-  }
+  const auto want = run_one(instance, "rhc", true, 1);
+  const auto got = run_one(instance, "rhc", true, 4);
+  EXPECT_EQ(got.total.total(), want.total.total());
+  EXPECT_EQ(got.total.neigh, want.total.neigh);
 }
 
 // ---- feasibility under link caps ------------------------------------------
@@ -206,8 +181,7 @@ TEST(Collab, ExecutedDecisionsRespectInterSbsLinkCaps) {
   const auto instance =
       small_scenario(workload::NeighborTopologyKind::kGrid, 0.5).build();
   ASSERT_TRUE(instance.config.has_neighbor_tier());
-  const auto result = run_one(instance, "rhc", true, 1,
-                              shard::kShardsInProcess, true);
+  const auto result = run_one(instance, "rhc", true, 1, true);
   ASSERT_EQ(result.schedule.size(), instance.horizon());
   bool any_neighbor_traffic = false;
   for (std::size_t t = 0; t < result.schedule.size(); ++t) {
@@ -220,12 +194,11 @@ TEST(Collab, ExecutedDecisionsRespectInterSbsLinkCaps) {
   EXPECT_TRUE(any_neighbor_traffic);
 }
 
-// ---- solver neighbor coupling across the wire -----------------------------
+// ---- neighbor-priced solver ------------------------------------------------
 
-TEST(Collab, NeighborPricedSolveBitIdenticalAcrossShards) {
-  // p1_neighbor_price > 0 ships per-SBS neighbor-reward blocks and
-  // omega_neigh through the MDOSHRD3 kBegin frame; the sharded solve must
-  // still be bit-identical to the in-process one.
+TEST(Collab, NeighborPricedSolveBitIdenticalAcrossThreads) {
+  // p1_neighbor_price > 0 adds the per-SBS neighbor-reward addends inside
+  // the parallel P1 pass; the solve must stay bit-identical at 4 threads.
   const auto instance =
       small_scenario(workload::NeighborTopologyKind::kRing, 5.0).build();
   core::HorizonProblem problem;
@@ -235,13 +208,11 @@ TEST(Collab, NeighborPricedSolveBitIdenticalAcrossShards) {
 
   core::PrimalDualOptions options;
   options.p1_neighbor_price = 0.05;
-  options.shard_count = shard::kShardsInProcess;
-  core::PrimalDualSolver in_process(options);
-  const auto want = in_process.solve(problem);
-
-  options.shard_count = 2;
-  core::PrimalDualSolver sharded(options);
-  const auto got = sharded.solve(problem);
+  util::ThreadPool::set_global_threads(1);
+  const auto want = core::PrimalDualSolver(options).solve(problem);
+  util::ThreadPool::set_global_threads(4);
+  const auto got = core::PrimalDualSolver(options).solve(problem);
+  util::ThreadPool::set_global_threads(1);
   EXPECT_EQ(got.upper_bound, want.upper_bound);
   EXPECT_EQ(got.lower_bound, want.lower_bound);
   ASSERT_EQ(got.mu.size(), want.mu.size());
@@ -267,60 +238,6 @@ TEST(Collab, NeighborPriceZeroMatchesUnpricedSolve) {
   const auto got = zero.solve(problem);
   EXPECT_EQ(got.upper_bound, want.upper_bound);
   EXPECT_EQ(got.lower_bound, want.lower_bound);
-}
-
-// ---- MDOSHRD3 wire framing -------------------------------------------------
-
-std::vector<std::uint8_t> raw_frame(const std::vector<std::uint8_t>& payload) {
-  int fds[2];
-  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  EXPECT_TRUE(shard::send_frame(fds[0], shard::MessageType::kBegin, payload));
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
-  std::vector<std::uint8_t> raw(kHeader + payload.size());
-  std::size_t got = 0;
-  while (got < raw.size()) {
-    const ssize_t n = ::recv(fds[1], raw.data() + got, raw.size() - got, 0);
-    EXPECT_GT(n, 0);
-    got += static_cast<std::size_t>(n);
-  }
-  ::close(fds[0]);
-  ::close(fds[1]);
-  return raw;
-}
-
-bool frame_accepted(const std::vector<std::uint8_t>& raw) {
-  int fds[2];
-  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  EXPECT_EQ(::send(fds[0], raw.data(), raw.size(), 0),
-            static_cast<ssize_t>(raw.size()));
-  ::close(fds[0]);
-  shard::MessageType type;
-  std::vector<std::uint8_t> payload;
-  const bool ok = shard::recv_frame(fds[1], &type, &payload);
-  ::close(fds[1]);
-  return ok;
-}
-
-TEST(Collab, WireMagicCarriesProtocolVersionThree) {
-  const std::vector<std::uint8_t> clean = raw_frame({1, 2, 3});
-  ASSERT_GE(clean.size(), 8u);
-  EXPECT_EQ(std::string(clean.begin(), clean.begin() + 8), "MDOSHRD3");
-  EXPECT_TRUE(frame_accepted(clean));
-}
-
-TEST(Collab, WireRejectsOldProtocolVersionCleanly) {
-  // A well-formed frame from a "MDOSHRD2" peer: same 7-byte prefix, older
-  // version byte, checksum intact. Must be rejected as a version mismatch
-  // (clean false -> SolveStatus::kWorkerFailure), not read as payload
-  // corruption — and certainly not decoded.
-  std::vector<std::uint8_t> old = raw_frame({1, 2, 3});
-  old[7] = static_cast<std::uint8_t>('2');
-  EXPECT_FALSE(frame_accepted(old));
-
-  // A garbled magic prefix stays rejected too.
-  std::vector<std::uint8_t> garbled = raw_frame({1, 2, 3});
-  garbled[0] ^= 0x40;
-  EXPECT_FALSE(frame_accepted(garbled));
 }
 
 }  // namespace

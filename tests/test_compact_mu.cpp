@@ -1,7 +1,7 @@
 // Tests for the compact active-coordinate mu layout (DESIGN.md §12) — the
 // ONLY mu layout of sparse solves since the dense-mu A/B switch retired:
 // mu_block_offsets geometry, compact<->dense scatter/gather round trips,
-// solver- and controller-level bit-identity across thread and shard counts,
+// solver- and controller-level bit-identity across thread counts,
 // advance_window edge cases, and the warm-state blob's count()-guarded
 // serialization.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "core/shard_core.hpp"
 #include "online/chc.hpp"
 #include "online/rhc.hpp"
-#include "shard/coordinator.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/serialize.hpp"
@@ -143,9 +142,7 @@ TEST(CompactMu, SolverBitIdenticalAcrossThreadsAndShards) {
   const auto offsets = core::mu_block_offsets(
       instance.config, instance.sparse_demand.horizon(), sets);
 
-  core::PrimalDualOptions reference_options;
-  reference_options.shard_count = shard::kShardsInProcess;
-  core::PrimalDualSolver reference(reference_options);
+  core::PrimalDualSolver reference{core::PrimalDualOptions{}};
   const auto want = reference.solve(problem);
   // Sparse solves always keep mu on the compact layout.
   EXPECT_EQ(want.mu.size(), offsets.back());
@@ -153,20 +150,13 @@ TEST(CompactMu, SolverBitIdenticalAcrossThreadsAndShards) {
                                           instance.sparse_demand.horizon()));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t shards :
-         {shard::kShardsInProcess, std::size_t{2}}) {
-      util::ThreadPool::set_global_threads(threads);
-      core::PrimalDualOptions options;
-      options.shard_count = shards;
-      core::PrimalDualSolver solver(options);
-      const auto got = solver.solve(problem);
-      EXPECT_EQ(got.upper_bound, want.upper_bound)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.lower_bound, want.lower_bound)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.iterations, want.iterations);
-      EXPECT_EQ(got.mu.size(), offsets.back());
-    }
+    util::ThreadPool::set_global_threads(threads);
+    core::PrimalDualSolver solver{core::PrimalDualOptions{}};
+    const auto got = solver.solve(problem);
+    EXPECT_EQ(got.upper_bound, want.upper_bound) << "threads=" << threads;
+    EXPECT_EQ(got.lower_bound, want.lower_bound) << "threads=" << threads;
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.mu.size(), offsets.back());
   }
   util::ThreadPool::set_global_threads(1);
 }
@@ -198,10 +188,9 @@ TEST(CompactMu, DenseDemandSolvesUseDenseLayout) {
 
 double run_controller(bool chc, const model::ProblemInstance& instance,
                       const workload::Predictor& predictor,
-                      std::size_t threads, std::size_t shards) {
+                      std::size_t threads) {
   util::ThreadPool::set_global_threads(threads);
-  core::PrimalDualOptions pd;
-  pd.shard_count = shards;
+  const core::PrimalDualOptions pd;
   std::unique_ptr<online::Controller> controller;
   if (chc) {
     controller = std::make_unique<online::ChcController>(4, 2, pd);
@@ -218,31 +207,15 @@ double run_controller(bool chc, const model::ProblemInstance& instance,
 TEST(CompactMu, RhcBitIdenticalAcrossThreadsShards) {
   const auto instance = sparse_instance();
   const workload::NoisyPredictor predictor(instance.sparse_demand, 0.1, 1234);
-  const double want = run_controller(false, instance, predictor, 1,
-                                     shard::kShardsInProcess);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t shards :
-         {shard::kShardsInProcess, std::size_t{2}}) {
-      EXPECT_EQ(run_controller(false, instance, predictor, threads, shards),
-                want)
-          << "threads=" << threads << " shards=" << shards;
-    }
-  }
+  const double want = run_controller(false, instance, predictor, 1);
+  EXPECT_EQ(run_controller(false, instance, predictor, 4), want);
 }
 
 TEST(CompactMu, ChcBitIdenticalAcrossThreadsShards) {
   const auto instance = sparse_instance();
   const workload::NoisyPredictor predictor(instance.sparse_demand, 0.1, 1234);
-  const double want = run_controller(true, instance, predictor, 1,
-                                     shard::kShardsInProcess);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t shards :
-         {shard::kShardsInProcess, std::size_t{2}}) {
-      EXPECT_EQ(run_controller(true, instance, predictor, threads, shards),
-                want)
-          << "threads=" << threads << " shards=" << shards;
-    }
-  }
+  const double want = run_controller(true, instance, predictor, 1);
+  EXPECT_EQ(run_controller(true, instance, predictor, 4), want);
 }
 
 // ---- advance_window edge cases -------------------------------------------
@@ -363,6 +336,57 @@ TEST(CompactMu, TruncatedWarmBlobThrowsInsteadOfMisreading) {
   }
 }
 
+/// Regression: a truncated-catalogue warm blob is only tens of bytes per
+/// cell yet stores num_contents as a scalar field, so a reader that bounded
+/// every scalar against the payload length rejected any catalogue larger
+/// than the blob itself. At K = 10^4 the snapshot must restore and keep the
+/// next solve bit-identical.
+TEST(CompactMu, WarmStateRoundTripAtLargeCatalogue) {
+  constexpr std::size_t kContents = 10000;
+  workload::PaperScenario scenario;
+  scenario.num_sbs = 2;
+  scenario.num_contents = kContents;
+  scenario.classes_per_sbs = 2;
+  scenario.cache_capacity = 3;
+  scenario.bandwidth = 8.0;
+  scenario.beta = 10.0;
+  scenario.horizon = 3;
+  scenario.seed = 17;
+  const auto pmf = workload::zipf_mandelbrot_pmf(
+      kContents, scenario.workload.zipf_alpha, scenario.workload.zipf_q);
+  scenario.workload.min_rate = pmf[5];  // a handful of surviving contents
+  const auto full = scenario.build_sparse();
+  const workload::PerfectPredictor predictor(full.sparse_demand);
+
+  core::PrimalDualSolver original{core::PrimalDualOptions{}};
+  model::SparseDemandTrace window = predictor.predict_window_sparse(0, 2);
+  core::HorizonProblem problem;
+  problem.config = &full.config;
+  problem.sparse_demand = &window;
+  problem.initial_cache = full.initial_cache;
+  original.solve(problem);
+  original.advance_window(1);
+
+  util::BinaryWriter writer;
+  original.save_state(writer);
+  ASSERT_LT(writer.bytes().size(), kContents);
+  core::PrimalDualSolver restored{core::PrimalDualOptions{}};
+  util::BinaryReader reader(writer.bytes());
+  restored.restore_state(reader);
+  EXPECT_TRUE(reader.exhausted());
+
+  window = predictor.predict_window_sparse(1, 2);
+  const auto want = original.solve(problem);
+  const auto got = restored.solve(problem);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.upper_bound, want.upper_bound);
+  EXPECT_EQ(got.lower_bound, want.lower_bound);
+  ASSERT_EQ(got.mu.size(), want.mu.size());
+  for (std::size_t j = 0; j < got.mu.size(); ++j) {
+    EXPECT_EQ(got.mu[j], want.mu[j]);
+  }
+}
+
 TEST(CompactMu, CountGuardedReaderRejectsAbsurdVectorCounts) {
   // A corrupted count field must throw before any allocation is attempted:
   // the count() guard caps element counts by the bytes actually remaining.
@@ -374,6 +398,22 @@ TEST(CompactMu, CountGuardedReaderRejectsAbsurdVectorCounts) {
 
   util::BinaryReader reader_as(blob);
   EXPECT_THROW(reader_as.f64_vec_as<linalg::Vec>(), InvalidArgument);
+}
+
+TEST(CompactMu, RestoreRejectsBankShapeWhoseProductOverflows) {
+  // bank_slots = bank_sbs = 2^32 with an empty bank: the product wraps to
+  // 0 == bank.size(), so a multiplying shape check accepts the snapshot and
+  // the next advance_window() indexes the empty bank.
+  util::BinaryWriter writer;
+  writer.size(std::size_t{1} << 32);  // bank slots
+  writer.size(std::size_t{1} << 32);  // bank SBSs
+  writer.size(0);                     // step offset
+  writer.size(0);                     // bank cells
+  writer.size(0);                     // last horizon
+  writer.size(0);                     // last active lists
+  core::PrimalDualSolver solver{core::PrimalDualOptions{}};
+  util::BinaryReader reader(writer.bytes());
+  EXPECT_THROW(solver.restore_state(reader), InvalidArgument);
 }
 
 }  // namespace
