@@ -141,8 +141,8 @@ int main(int argc, char** argv) {
               << "s; one-iteration granularity=" << granularity << "s\n";
 
     // ---- Logical (checks) budget sweep: cost gap + event counts. ---------
-    // Two scenarios: the headline one (where warm-started anytime solves
-    // turn out to lose nothing — the repaired one-iteration incumbent's
+    // Two scenarios: the headline one (where anytime solves turn out to
+    // lose nothing — the repaired one-iteration incumbent's
     // slot-0 decision already matches the converged one), and a
     // bandwidth-tight, cheap-replacement variant where truncated solves pay
     // a measurable anytime cost gap.

@@ -21,7 +21,7 @@
 // construction, slot by slot.
 //
 // The overlay mutates ONLY the decision's neighbor bank. The cache
-// schedule, the local fractions, mu trajectories and warm-start banks are
+// schedule, the local fractions and the mu trajectories are
 // untouched, and with an empty topology the overlay is never invoked —
 // which is what makes the degenerate topology bitwise-transparent.
 //

@@ -88,23 +88,7 @@ void P2Workspace::bind(const model::SbsConfig& sbs,
   coeff_.ub.assign(size, 1.0);
   upper_finite_ = true;
   has_solution_ = false;
-}
-
-void P2Workspace::save_warm_state(util::BinaryWriter& w) const {
-  w.boolean(compact_);
-  w.size(classes_);
-  w.size(contents_);
-  w.size_vec(active_);
-  w.f64_vec(y_);
-}
-
-void P2Workspace::restore_warm_state(util::BinaryReader& r) {
-  compact_ = r.boolean();
-  classes_ = r.size();
-  contents_ = r.size();
-  active_ = r.size_vec();
-  y_ = r.f64_vec_as<linalg::Vec>();
-  has_solution_ = false;  // y_ is a warm start, not a bound solution
+  y_.clear();  // cold start: the first solve begins at y = 0
 }
 
 void P2Workspace::bind_active(const model::SbsConfig& sbs,
@@ -118,12 +102,6 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   const std::size_t a_count = active.size();
   const std::size_t size = classes * a_count;
 
-  // A changed active set would misalign the compact warm start; a matching
-  // one keeps it, which at full support matches bind()'s behavior exactly.
-  const bool same_space = compact_ && classes_ == classes &&
-                          contents_ == demand.num_contents() &&
-                          active_ == active;
-  if (!same_space) y_.clear();
   compact_ = true;
   classes_ = classes;
   contents_ = demand.num_contents();
@@ -164,6 +142,7 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   coeff_.ub.assign(size, 1.0);
   upper_finite_ = true;
   has_solution_ = false;
+  y_.clear();  // cold start: the first solve begins at y = 0
 }
 
 void P2Workspace::set_linear(const double* begin, const double* end) {

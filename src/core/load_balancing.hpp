@@ -22,8 +22,11 @@
 // the scalar a, the cached feasible set, the FISTA buffers, and the exact
 // solver's sort/group scratch — and exposes cheap in-place refreshes for
 // the parts that DO change: the linear term c (the multipliers) and the
-// box upper bound ub (the repair cache vector). The previous solution
-// stays in the workspace as the next solve's warm start. A workspace-based
+// box upper bound ub (the repair cache vector). Between binds, the previous
+// solution stays in the workspace as the next solve's warm start (so the
+// dual loop warms each P2 from the last iteration's y); bind() and
+// bind_active() drop it, so every horizon solve starts P2 from y = 0 and
+// depends on nothing but its own inputs. A workspace-based
 // solve heap-allocates nothing once its buffers reach the instance size,
 // and returns bit-identical results to the legacy entry points (which are
 // now thin wrappers over a throwaway workspace).
@@ -36,7 +39,6 @@
 #include "model/sparse_demand.hpp"
 #include "solver/first_order.hpp"
 #include "solver/projection.hpp"
-#include "util/serialize.hpp"
 
 namespace mdo::core {
 
@@ -102,8 +104,8 @@ class P2Workspace {
  public:
   /// (Re)binds the workspace to an (SBS, demand) pair: rebuilds
   /// lambda/u/v/a and the cached Lipschitz norm, resets c to zero and ub to
-  /// all-ones, and invalidates any cached solution. The previous solution
-  /// vector is KEPT as the next solve's warm start. Never throws on
+  /// all-ones, and drops any cached solution and warm start (the next solve
+  /// starts cold at y = 0). Never throws on
   /// non-finite rates; the poisoning is reported by the next solve's status
   /// instead.
   void bind(const model::SbsConfig& sbs, const model::SbsDemand& demand);
@@ -116,8 +118,7 @@ class P2Workspace {
   /// gathers multipliers from a dense block and scatter_solution writes the
   /// compact y back into a dense vector. With a full active set the
   /// coefficients, and therefore every solve, are bit-identical to bind().
-  /// The warm start is kept only when the active set (and shape) matches the
-  /// previous compact binding — a changed active set would misalign it.
+  /// Like bind(), it drops the warm start.
   void bind_active(const model::SbsConfig& sbs,
                    const model::SparseSbsDemand& demand,
                    const std::vector<std::size_t>& active);
@@ -156,16 +157,6 @@ class P2Workspace {
   /// (bind, c, ub) state — callers may skip a re-solve (the repair loop's
   /// unchanged-ub fast path).
   bool has_solution() const { return has_solution_; }
-
-  /// Serializes exactly the state that survives across horizon solves and
-  /// can influence future results: the warm-start vector y and the compact
-  /// binding metadata (compact_/classes_/contents_/active_) that
-  /// bind_active() consults to decide whether the warm start is still
-  /// aligned. Everything else is rebuilt by the next bind. Restoring this
-  /// state into a fresh workspace makes the next solve bit-identical to
-  /// one on the original workspace — the checkpoint/resume contract.
-  void save_warm_state(util::BinaryWriter& w) const;
-  void restore_warm_state(util::BinaryReader& r);
 
  private:
   friend LoadBalancingOutcome solve_load_balancing(

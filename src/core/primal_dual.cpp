@@ -43,7 +43,7 @@ bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
 /// Safe fallback for solves that cannot run (kNonFiniteInput): keep the
 /// current cache, serve everything from the BS, report vacuous bounds.
 HorizonSolution fallback_solution(const HorizonProblem& problem,
-                                  solver::SolveStatus status, bool compact) {
+                                  solver::SolveStatus status, bool sparse) {
   HorizonSolution degraded;
   degraded.status = status;
   degraded.upper_bound = kInf;
@@ -53,10 +53,9 @@ HorizonSolution fallback_solution(const HorizonProblem& problem,
     slot.cache = problem.initial_cache;
     slot.load = model::LoadAllocation(*problem.config);
   }
-  // Compact mode returns an EMPTY mu: the fallback carries no dual
-  // information, and an empty vector safely disables same-window warm
-  // starts downstream (controllers gate on !warm_mu.empty()).
-  if (!compact) {
+  // Sparse solves return an EMPTY mu: the fallback carries no dual
+  // information and there is no active-set geometry to size it by.
+  if (!sparse) {
     degraded.mu.assign(mu_size(*problem.config, problem.horizon()), 0.0);
   }
   return degraded;
@@ -102,67 +101,13 @@ PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
               "p1_neighbor_price must be >= 0");
 }
 
-void PrimalDualSolver::advance_window(std::size_t shift) {
-  if (shift == 0 || bank_slots_ == 0) return;
-  // Ascending t only reads rows > t, which are still the old window's.
-  for (std::size_t t = 0; t < bank_slots_; ++t) {
-    const std::size_t src = std::min(t + shift, bank_slots_ - 1);
-    if (src == t) continue;
-    for (std::size_t n = 0; n < bank_sbs_; ++n) {
-      CellState& dst = bank_[t * bank_sbs_ + n];
-      const CellState& from = bank_[src * bank_sbs_ + n];
-      dst.p2.warm_start() = from.p2.y();
-      dst.repair.warm_start() = from.repair.y();
-    }
-  }
-}
-
-void PrimalDualSolver::save_state(util::BinaryWriter& w) const {
-  w.size(bank_slots_);
-  w.size(bank_sbs_);
-  w.size(step_offset_);
-  w.size(bank_.size());
-  for (const CellState& cs : bank_) {
-    cs.p2.save_warm_state(w);
-    cs.repair.save_warm_state(w);
-  }
-  // Compact-mu geometry of the last solve: a restored solver must keep
-  // interpreting (and, after a resync, remapping) same-window warm mu
-  // vectors exactly like the original would.
-  w.size(last_horizon_);
-  w.size(last_active_.size());
-  for (const auto& cell : last_active_) w.size_vec(cell);
-}
-
-void PrimalDualSolver::restore_state(util::BinaryReader& r) {
-  bank_slots_ = r.size();
-  bank_sbs_ = r.size();
-  step_offset_ = r.size();
-  bank_.assign(r.count(), CellState{});
-  for (CellState& cs : bank_) {
-    cs.p2.restore_warm_state(r);
-    cs.repair.restore_warm_state(r);
-  }
-  // Division, not bank_slots_ * bank_sbs_: the product of two hostile
-  // 64-bit dimensions can wrap to the bank size (2^32 * 2^32 == 0).
-  MDO_REQUIRE(bank_sbs_ == 0 ? bank_.empty()
-                             : bank_.size() % bank_sbs_ == 0 &&
-                                   bank_.size() / bank_sbs_ == bank_slots_,
-              "solver snapshot: bank shape mismatch");
-  last_horizon_ = r.size();
-  last_active_.assign(r.count(), {});
-  for (auto& cell : last_active_) cell = r.size_vec();
-}
-
 HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
-                                        const linalg::Vec* warm_mu,
                                         runtime::DeadlineToken* deadline) {
   MDO_REQUIRE(problem.config != nullptr, "horizon problem: config must be set");
   MDO_REQUIRE((problem.demand != nullptr) != (problem.sparse_demand != nullptr),
               "horizon problem: exactly one demand representation");
   MDO_REQUIRE(problem.horizon() >= 1, "horizon problem: empty window");
   const bool sparse = problem.use_sparse();
-  const bool compact = sparse;
   if (sparse ? !demand_finite_nonnegative(*problem.sparse_demand)
              : !demand_finite_nonnegative(*problem.demand)) {
     // Corrupted window (NaN/Inf/negative rates): iterating would only smear
@@ -170,7 +115,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     // keep the current cache (no replacement churn) and serve everything
     // from the BS — and let the caller degrade.
     return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput,
-                             compact);
+                             sparse);
   }
   problem.validate();
   const auto& config = *problem.config;
@@ -190,7 +135,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   if (sparse) {
     sets = build_active_sets(config, *problem.sparse_demand,
                              problem.initial_cache);
-    if (compact) mu_off = mu_block_offsets(config, w, sets);
+    mu_off = mu_block_offsets(config, w, sets);
   }
 
   // ---- Marginal BS cost scale: used for both the automatic step size and
@@ -216,7 +161,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   };
 
   // ---- Initialize multipliers.
-  linalg::Vec mu(compact ? mu_off.back() : layout.per_slot * w, 0.0);
+  linalg::Vec mu(sparse ? mu_off.back() : layout.per_slot * w, 0.0);
   double mean_marginal = 0.0;
   {
     std::size_t entries = 0;
@@ -225,10 +170,10 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       // dense gradient: the skipped terms are exact zeros (they cannot move
       // the nonnegative accumulator), the nonzeros are visited in the same
       // ascending-j order, and `entries` counts every dense coordinate either
-      // way — mean_marginal and the written mu are bit-identical. In compact
-      // mode the write lands at the entry's active-set position (rows and
+      // way — mean_marginal and the written mu values are bit-identical. The
+      // write lands at the entry's compact active-set position (rows and
       // active lists are both content-sorted, so one forward pointer finds
-      // it); the stored VALUES are the same either way.
+      // it).
       for (std::size_t t = 0; t < w; ++t) {
         for (std::size_t n = 0; n < num_sbs; ++n) {
           const auto& sbs = config.sbs[n];
@@ -242,12 +187,9 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
             }
             a += sbs.classes[m].omega_bs * row;
           }
-          const std::size_t base = layout.offset(t, n);
-          const std::vector<std::size_t>* al =
-              compact ? &sets.active[t * num_sbs + n] : nullptr;
-          double* block =
-              compact ? mu.data() + mu_off[t * num_sbs + n] : nullptr;
-          const std::size_t a_count = compact ? al->size() : 0;
+          const std::vector<std::size_t>& al = sets.active[t * num_sbs + n];
+          double* block = mu.data() + mu_off[t * num_sbs + n];
+          const std::size_t a_count = al.size();
           for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
             std::size_t pos = 0;
             for (const model::DemandEntry* it = demand.row_begin(m);
@@ -255,17 +197,10 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
               const double value =
                   2.0 * a * sbs.classes[m].omega_bs * it->rate;
               mean_marginal += value;
-              if (warm_mu == nullptr) {
-                if (compact) {
-                  while (pos < a_count && (*al)[pos] < it->content) ++pos;
-                  MDO_CHECK(pos < a_count && (*al)[pos] == it->content,
-                            "compact mu: support content missing from "
-                            "active set");
-                  block[m * a_count + pos] = value;
-                } else {
-                  mu[base + m * k_count + it->content] = value;
-                }
-              }
+              while (pos < a_count && al[pos] < it->content) ++pos;
+              MDO_CHECK(pos < a_count && al[pos] == it->content,
+                        "compact mu: support content missing from active set");
+              block[m * a_count + pos] = value;
             }
           }
           entries += layout.sbs_size[n];
@@ -279,9 +214,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
           for (std::size_t j = 0; j < g.size(); ++j) {
             mean_marginal += g[j];
             ++entries;
-            if (warm_mu == nullptr) {
-              mu[layout.offset(t, n) + j] = g[j];
-            }
+            mu[layout.offset(t, n) + j] = g[j];
           }
         }
       }
@@ -290,84 +223,13 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   }
   if (!std::isfinite(mean_marginal)) {
     // Finite rates so large that the quadratic cost overflows: as unusable
-    // as a NaN window, so take the same fallback before any state changes.
+    // as a NaN window, so take the same fallback.
     return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput,
-                             compact);
-  }
-  if (warm_mu != nullptr) {
-    if (!compact ||
-        (last_horizon_ == w && last_active_ == sets.active)) {
-      // Dense layout, or compact with unchanged geometry (the common
-      // same-window replan): straight copy.
-      MDO_REQUIRE(warm_mu->size() == mu.size(), "warm mu size mismatch");
-      mu = *warm_mu;
-    } else if (last_horizon_ == w && !last_active_.empty()) {
-      // A resync changed the start cache, so the active sets — and with
-      // them the compact geometry — moved since the solve that produced
-      // this warm mu. Remap by content id: intersection coordinates keep
-      // their multiplier, newly active ones start at 0, dropped ones
-      // vanish. That reproduces the dense warm path, which carries old
-      // values forward but only ever READS the new active coordinates (and
-      // coordinates newly active this window held zero in the old dense mu
-      // by the ascent invariant).
-      MDO_REQUIRE(last_active_.size() == w * num_sbs,
-                  "compact warm mu: geometry shape mismatch");
-      std::size_t old_size = 0;
-      for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-        old_size += config.sbs[cell % num_sbs].num_classes() *
-                    last_active_[cell].size();
-      }
-      MDO_REQUIRE(warm_mu->size() == old_size,
-                  "compact warm mu: size disagrees with recorded geometry");
-      std::size_t old_off = 0;
-      for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-        const std::size_t n = cell % num_sbs;
-        const std::size_t classes = config.sbs[n].num_classes();
-        const std::vector<std::size_t>& old_list = last_active_[cell];
-        const std::vector<std::size_t>& new_list = sets.active[cell];
-        const std::size_t oa = old_list.size();
-        const std::size_t na = new_list.size();
-        const double* src = warm_mu->data() + old_off;
-        double* dst = mu.data() + mu_off[cell];
-        std::size_t i = 0;
-        for (std::size_t j = 0; j < na; ++j) {
-          while (i < oa && old_list[i] < new_list[j]) ++i;
-          if (i < oa && old_list[i] == new_list[j]) {
-            for (std::size_t m = 0; m < classes; ++m) {
-              dst[m * na + j] = src[m * oa + i];
-            }
-          }
-        }
-        old_off += classes * oa;
-      }
-    } else {
-      // No recorded geometry for this horizon (controllers only hand back
-      // a mu this solver produced, and the geometry travels with the
-      // checkpointed warm state, so this is reachable only through misuse).
-      // Accept an exact-size match, refuse anything else.
-      MDO_REQUIRE(warm_mu->size() == mu.size(),
-                  "compact warm mu without matching geometry");
-      mu = *warm_mu;
-    }
-  }
-  if (compact) {
-    last_active_ = sets.active;
-    last_horizon_ = w;
-  } else {
-    last_active_.clear();
-    last_horizon_ = 0;
+                             sparse);
   }
   const double step_scale = options_.step_scale > 0.0
                                 ? options_.step_scale
                                 : std::max(1e-9, 0.5 * mean_marginal);
-  // Warm-started solves resume the step schedule where the previous solve
-  // stopped (see solve() in the header); cold solves restart at delta_0.
-  const std::size_t step_offset = warm_mu != nullptr ? step_offset_ : 0;
-
-  // ---- The persistent warm-start bank: the zero-allocation hot path.
-  bank_.resize(w * num_sbs);
-  bank_slots_ = w;
-  bank_sbs_ = num_sbs;
 
   // ---- Optional neighbor-demand tilt of P1 (see the option comment):
   // constant per-(n, k, t) reward addends in the P1 layout, computed HERE,
@@ -494,12 +356,11 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     best.iterations = iteration + 1;
     if (best.gap() <= options_.epsilon) break;
 
-    const double delta = step_scale * step(step_offset + iteration);
+    const double delta = step_scale * step(iteration);
     core.dual_update(delta, mu);
   }
 
   best.mu = std::move(mu);
-  step_offset_ = best.iterations;
   best.status = best.gap() <= options_.epsilon
                     ? solver::SolveStatus::kConverged
                 : deadline_expired ? solver::SolveStatus::kDeadlineExpired

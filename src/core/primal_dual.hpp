@@ -98,10 +98,9 @@ struct HorizonSolution {
   double upper_bound = 0.0;   // objective (9) of `schedule`
   double lower_bound = 0.0;   // best dual value (valid lower bound)
   std::size_t iterations = 0; // dual iterations performed
-  /// Final multipliers (for warm starts): dense layout for dense-demand
-  /// solves, the compact active-coordinate layout (core::mu_block_offsets
-  /// geometry) for sparse-demand solves. Empty in a sparse kNonFiniteInput
-  /// fallback, which safely disables same-window warm starts downstream.
+  /// Final multipliers: dense layout for dense-demand solves, the compact
+  /// active-coordinate layout (core::mu_block_offsets geometry) for
+  /// sparse-demand solves. Empty in a sparse kNonFiniteInput fallback.
   linalg::Vec mu;
   /// How the solve terminated. kNonFiniteInput means the demand window held
   /// NaN/Inf/negative rates, or rates so large that the quadratic cost
@@ -123,22 +122,19 @@ class PrimalDualSolver {
  public:
   explicit PrimalDualSolver(PrimalDualOptions options = {});
 
-  /// Solves the window problem. Without `warm_mu` the multipliers start at
-  /// the marginal BS-cost gradient. `warm_mu` (layout above, sized for the
-  /// problem's horizon) is meant for SAME-window replans (an online
-  /// controller resyncing at an unchanged tau): the solve then CONTINUES
-  /// the diminishing-step schedule (16) where the previous solve stopped
-  /// instead of restarting at delta_0, since a full-size first step would
-  /// throw mu far from the near-optimal warm point. Multipliers are
-  /// deliberately not shifted across slid windows: measured head-to-head
-  /// (see DESIGN.md), every shifted-mu policy converged slower than the
-  /// marginal re-initialization, because the window's initial cache moves
-  /// every slot and the tail slots carry end-of-window effects. Non-finite
-  /// or negative demand never throws: it is reported through the result
+  /// Solves the window problem. The multipliers start at the marginal
+  /// BS-cost gradient and the diminishing-step schedule (16) at delta_0 on
+  /// every call: the result is a pure function of `problem` (and the
+  /// options). Nothing carries over between solves — measured head-to-head
+  /// (EXPERIMENTS.md E17), neither multipliers shifted across slid windows
+  /// nor cross-window P2 warm starts paid for their state. Non-finite or
+  /// negative demand never throws: it is reported through the result
   /// status with a safe fallback schedule (see HorizonSolution::status).
   ///
-  /// Non-const: the solver keeps the per-(slot, SBS) P2 workspace bank —
-  /// and with it the P2 warm starts — between calls.
+  /// Non-const only because the solver keeps the per-(slot, SBS) P2
+  /// workspace bank as reusable buffers (the zero-allocation hot path);
+  /// every workspace is re-bound, with a cold P2 start, at the top of each
+  /// solve.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -147,41 +143,13 @@ class PrimalDualSolver {
   /// or unlimited token leaves the solve bitwise-identical to the
   /// pre-deadline behavior.
   HorizonSolution solve(const HorizonProblem& problem,
-                        const linalg::Vec* warm_mu = nullptr,
                         runtime::DeadlineToken* deadline = nullptr);
-
-  /// Rotates the cached P2 warm starts when the window slides forward by
-  /// `shift` slots (slot t of the next window reuses slot t + shift of the
-  /// previous one; tail slots repeat the last). Controllers call this
-  /// between windows. Past the horizon every slot starts from the last
-  /// slot's warm start; a zero shift or an empty bank is a no-op.
-  void advance_window(std::size_t shift);
 
   const PrimalDualOptions& options() const { return options_; }
 
-  /// Serializes the cross-solve warm state (the P2 workspace bank with its
-  /// binding metadata, plus the step-schedule offset). Restoring into a
-  /// solver constructed with the same options makes every subsequent
-  /// solve() bit-identical to one on the original — the checkpoint/resume
-  /// contract (see runtime/checkpoint.hpp).
-  void save_state(util::BinaryWriter& w) const;
-  void restore_state(util::BinaryReader& r);
-
  private:
   PrimalDualOptions options_;
-  std::vector<CellState> bank_;  // cell = t * num_sbs + n
-  std::size_t bank_slots_ = 0;
-  std::size_t bank_sbs_ = 0;
-  /// Geometry of the last compact solve (per-cell active lists + horizon):
-  /// a same-window warm mu is interpreted against THIS geometry and
-  /// remapped by content id onto the new solve's active sets when a resync
-  /// changed the start cache. Serialized with the warm state so a restored
-  /// solver keeps remapping correctly. Empty after dense solves.
-  std::vector<std::vector<std::size_t>> last_active_;
-  std::size_t last_horizon_ = 0;
-  /// Where the previous solve's diminishing-step schedule stopped; a
-  /// warm-started solve resumes from here (see solve()).
-  std::size_t step_offset_ = 0;
+  std::vector<CellState> bank_;  // cell = t * num_sbs + n; buffers only
 };
 
 }  // namespace mdo::core

@@ -60,8 +60,9 @@ struct MuLayout {
   }
 };
 
-/// Per-(slot, SBS) solver state, persisted across solves as the warm-start
-/// bank (cell = t * num_sbs + n).
+/// Per-(slot, SBS) solver state (cell = t * num_sbs + n). The solver keeps
+/// the bank across solves only as reusable buffers; begin() re-binds every
+/// cell cold.
 struct CellState {
   P2Workspace p2;      // dual-iteration P2 (linear term = mu)
   P2Workspace repair;  // feasibility repair (c = 0, ub = x)
@@ -126,8 +127,8 @@ struct ShardInputs {
 class ShardCore {
  public:
   /// Binds the core to a window problem. `bank` (cell = t * num_sbs + n,
-  /// resized here) must outlive the core's use; its workspaces keep their
-  /// warm starts — begin() re-binds them to the new window. `sets` must be
+  /// resized here) must outlive the core's use; begin() re-binds its
+  /// workspaces to the new window, each starting P2 cold. `sets` must be
   /// the structures build_active_sets returns for these inputs (moved in so
   /// the solver, which also needs them, builds them once); ignored in dense
   /// mode.

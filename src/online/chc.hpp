@@ -12,6 +12,11 @@
 // applies the rounding policy of Theorem 3 with threshold
 // rho = (3 - sqrt(5))/2 (approximation ratio ~2.62). AFHC is the special
 // case r = w.
+//
+// Every plan is a fresh Algorithm 1 solve of its window. A replan forced
+// by a resync at an unchanged tau starts from the marginal multipliers
+// like any other plan: reusing the previous plan's multipliers gave no
+// systematic gain on the fault path (EXPERIMENTS.md E17).
 #pragma once
 
 #include <memory>
@@ -48,9 +53,9 @@ class FhcPlanner {
   /// of the internal trajectory, dropping any cached plan.
   void resync(std::size_t slot, const model::CacheState& executed);
 
-  /// Snapshot = plan bookkeeping (current plan, its time, the committed
-  /// trajectory, a pending resync), the same-window warm multipliers, and
-  /// the solver's warm-start bank (Checkpointable contract).
+  /// Snapshot = plan bookkeeping: the current plan, its time, the committed
+  /// trajectory and a pending resync (Checkpointable contract). Every plan
+  /// is a fresh solve, so no solver state is part of it.
   void save_state(util::BinaryWriter& w) const;
   void restore_state(util::BinaryReader& r);
 
@@ -61,10 +66,7 @@ class FhcPlanner {
   std::size_t offset_;
   std::size_t window_;
   std::size_t commit_;
-  core::PrimalDualOptions options_;
-  /// Persistent across plans so the P2 workspace bank carries warm starts
-  /// between commitment blocks (advanced by the actual plan-time delta, so
-  /// a resync replan at the same tau keeps its warm starts unshifted).
+  /// Kept across plans only for its reusable workspace buffers.
   core::PrimalDualSolver solver_;
   const model::ProblemInstance* instance_ = nullptr;
 
@@ -74,8 +76,6 @@ class FhcPlanner {
   model::CacheState trajectory_cache_;  // the variant's own x^{tau-1}
   /// Executed cache substituted by a wrapper; consumed by the next plan().
   std::optional<model::CacheState> resync_cache_;
-  linalg::Vec warm_mu_;
-  std::size_t warm_horizon_ = 0;
   /// Per-plan window buffers the HorizonProblem references (one per
   /// representation; refilled in place each plan()).
   model::DemandTrace window_demand_;

@@ -6,14 +6,12 @@
 // caching polytope is integral (Theorem 1), the integer RHC inherits the
 // continuous competitive ratio O(1 + 1/w).
 //
-// The window subproblem is solved with Algorithm 1. The solver's P2
-// workspace bank persists across slots (rotated by advance_window(1)) so
-// the load-balancing warm starts follow the sliding window; the
-// multipliers themselves are re-initialized at the marginal BS gradient
-// every slot — measured head-to-head, a shifted-mu hand-off between
-// windows converges *slower* than the marginal re-init (the window's
-// initial cache moves each slot and the tail slots carry end-of-window
-// effects, so the dual optimum genuinely shifts; see DESIGN.md).
+// The window subproblem is solved with Algorithm 1, afresh every
+// slot: the multipliers start at the marginal BS gradient and P2 at y = 0.
+// Measured head-to-head, neither a shifted-mu hand-off between windows nor
+// rotated P2 warm starts paid for their state (the window's initial cache
+// moves each slot and the tail slots carry end-of-window effects, so the
+// dual optimum genuinely shifts; see DESIGN.md §8 and EXPERIMENTS.md E17).
 #pragma once
 
 #include "core/primal_dual.hpp"
@@ -34,8 +32,9 @@ class RhcController final : public Controller {
   /// trajectory follows the executed cache.
   void observe(std::size_t slot, const model::SlotDecision& executed) override;
 
-  /// Snapshot = trajectory cache + the solver's warm-start bank; restoring
-  /// both makes the next decide() bit-identical to an uninterrupted run.
+  /// Snapshot = the trajectory cache, the only state a decision depends
+  /// on besides its inputs: restoring it makes the next decide()
+  /// bit-identical to an uninterrupted run.
   bool supports_checkpoint() const override { return true; }
   void save_state(util::BinaryWriter& w) const override;
   void restore_state(util::BinaryReader& r) override;
@@ -44,10 +43,7 @@ class RhcController final : public Controller {
 
  private:
   std::size_t window_;
-  core::PrimalDualOptions options_;
-  /// Persistent across windows so the P2 workspace bank (and its warm
-  /// starts) survives between decide() calls; advance_window(1) rotates it
-  /// as the window slides. reset() recreates it.
+  /// Kept across decide() calls only for its reusable workspace buffers.
   core::PrimalDualSolver solver_;
   const model::ProblemInstance* instance_ = nullptr;
   model::CacheState trajectory_cache_;  // x^{tau-1} along RHC's own path

@@ -99,8 +99,7 @@ OverlapPrimalDualSolver::OverlapPrimalDualSolver(
 }
 
 OverlapHorizonSolution OverlapPrimalDualSolver::solve(
-    const OverlapHorizonProblem& problem, const linalg::Vec* warm_mu,
-    runtime::DeadlineToken* deadline) {
+    const OverlapHorizonProblem& problem, runtime::DeadlineToken* deadline) {
   problem.validate();
   const auto& config = *problem.config;
   const auto& layout = *problem.layout;
@@ -126,17 +125,11 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
         const double marginal =
             2.0 * a * config.classes[m].omega_bs * demand.at(m, k);
         mean_marginal += marginal;
-        if (warm_mu == nullptr) {
-          mu[t * per_slot + layout.index(id, k)] = marginal;
-        }
+        mu[t * per_slot + layout.index(id, k)] = marginal;
       }
     }
   }
   mean_marginal /= std::max<std::size_t>(per_slot * w, 1);
-  if (warm_mu != nullptr) {
-    MDO_REQUIRE(warm_mu->size() == mu.size(), "overlap: warm mu size");
-    mu = *warm_mu;
-  }
   const double step_scale = options_.step_scale > 0.0
                                 ? options_.step_scale
                                 : std::max(1e-9, 0.5 * mean_marginal);

@@ -70,12 +70,11 @@ void SupervisionLog::clear() {
 
 core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
-                                       const linalg::Vec* warm_mu,
                                        DeadlineToken* deadline,
                                        const SupervisionOptions& options,
                                        SupervisionLog* log, std::size_t slot,
                                        std::size_t min_horizon) {
-  core::HorizonSolution primary = solver.solve(problem, warm_mu, deadline);
+  core::HorizonSolution primary = solver.solve(problem, deadline);
 
   auto record = [&](SupervisionEventKind kind, std::size_t attempt,
                     std::size_t horizon, const core::HorizonSolution& sol) {
@@ -123,13 +122,9 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
     }
     prev_horizon = horizon;
 
-    // Retries run on a throwaway solver so a degraded attempt never
-    // perturbs the persistent warm-start bank (which is checkpointed and
-    // must stay bit-identical to the clean trajectory).
     core::PrimalDualOptions relaxed = solver.options();
     relaxed.epsilon *= std::pow(options.tolerance_relax,
                                 static_cast<double>(attempt));
-    core::PrimalDualSolver retry_solver(relaxed);
 
     TruncatedProblem truncated;
     if (horizon != full_horizon) truncated.fill(problem, horizon);
@@ -137,7 +132,7 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
         horizon == full_horizon ? problem : truncated.problem;
 
     core::HorizonSolution retry =
-        retry_solver.solve(attempt_problem, nullptr, deadline);
+        core::PrimalDualSolver(relaxed).solve(attempt_problem, deadline);
     record(SupervisionEventKind::kRetry, attempt, horizon, retry);
     if (usable(retry)) {
       record(SupervisionEventKind::kRecovered, attempt, horizon, retry);

@@ -14,9 +14,8 @@
 //    `tolerance_relax` and halves the planning horizon (clamped to
 //    `min_horizon`, the prefix the caller must still commit). Truncation is
 //    the mechanism that can actually recover — it excises poisoned tail
-//    slots while keeping the committed prefix intact. Retries run on a
-//    throwaway solver so the persistent solver's warm-start bank (which is
-//    checkpointed) is never perturbed by a degraded attempt.
+//    slots while keeping the committed prefix intact. Each retry builds its
+//    own solver from the relaxed options.
 //
 //  - If every retry fails, the attempt-0 fallback solution (carry the
 //    cache, serve everything from the BS) is returned unchanged and the
@@ -98,7 +97,6 @@ struct SupervisionOptions {
 /// prefix the caller commits: 1 for RHC, the commitment block for FHC).
 core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
-                                       const linalg::Vec* warm_mu,
                                        DeadlineToken* deadline,
                                        const SupervisionOptions& options,
                                        SupervisionLog* log, std::size_t slot,

@@ -216,10 +216,18 @@ void read_supervision(util::BinaryReader& r, runtime::SupervisionLog& log) {
   for (std::size_t i = 0; i < num_events; ++i) {
     runtime::SupervisionEvent event;
     event.slot = r.size();
-    event.kind = static_cast<runtime::SupervisionEventKind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    MDO_REQUIRE(kind <= static_cast<std::uint8_t>(
+                            runtime::SupervisionEventKind::kExhausted),
+                "checkpoint: bad supervision event kind");
+    event.kind = static_cast<runtime::SupervisionEventKind>(kind);
     event.attempt = r.size();
     event.horizon = r.size();
-    event.status = static_cast<solver::SolveStatus>(r.u8());
+    const std::uint8_t status = r.u8();
+    MDO_REQUIRE(status <= static_cast<std::uint8_t>(
+                              solver::SolveStatus::kDeadlineExpired),
+                "checkpoint: bad supervision solve status");
+    event.status = static_cast<solver::SolveStatus>(status);
     event.gap = r.f64();
     log.events.push_back(event);
   }

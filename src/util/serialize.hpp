@@ -110,9 +110,9 @@ class BinaryReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
   /// A scalar std::size_t VALUE (a dimension, an id, a counter). No bound
-  /// against the payload: a 66-byte warm-start blob legitimately stores
-  /// num_contents = 10^4. Use count() for element counts that gate reads
-  /// or allocations.
+  /// against the payload: a short snapshot may legitimately store a
+  /// dimension such as num_contents = 10^4. Use count() for element counts
+  /// that gate reads or allocations.
   std::size_t size() { return static_cast<std::size_t>(u64()); }
 
   /// An element COUNT for data that follows in this payload. Every element
@@ -188,11 +188,11 @@ class BinaryReader {
 };
 
 /// Implemented by components whose cross-slot state must survive a process
-/// restart (controllers, planners, solvers). The contract: after
+/// restart (controllers, planners, predictors). The contract: after
 /// `b.restore_state(r)` where `r` reads bytes produced by
 /// `a.save_state(w)`, `b` must behave bit-identically to `a` on every
-/// subsequent call — including warm-start and scratch state that only
-/// affects results indirectly.
+/// subsequent call — including any state that only affects results
+/// indirectly.
 class Checkpointable {
  public:
   virtual ~Checkpointable() = default;

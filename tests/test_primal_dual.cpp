@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "core/exact_dp.hpp"
 #include "core/primal_dual.hpp"
@@ -9,6 +11,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
+#include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
 
 namespace mdo::core {
@@ -77,16 +80,6 @@ TEST(PrimalDual, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.lower_bound, b.lower_bound);
 }
 
-TEST(PrimalDual, WarmStartDoesNotBreakBounds) {
-  const auto instance = small_instance(7);
-  const auto problem = as_problem(instance);
-  const auto cold = PrimalDualSolver().solve(problem);
-  const auto warm = PrimalDualSolver().solve(problem, &cold.mu);
-  EXPECT_LE(warm.lower_bound, warm.upper_bound + 1e-9);
-  // A converged-multiplier warm start should not be (much) worse.
-  EXPECT_LE(warm.upper_bound, cold.upper_bound * 1.05 + 1e-6);
-}
-
 TEST(PrimalDual, SimplexBackendAgreesWithFlow) {
   const auto instance = small_instance(8, /*contents=*/4, /*classes=*/2,
                                        /*horizon=*/3);
@@ -104,12 +97,6 @@ TEST(PrimalDual, SimplexBackendAgreesWithFlow) {
 TEST(PrimalDual, ValidatesProblem) {
   HorizonProblem empty;
   EXPECT_THROW(PrimalDualSolver().solve(empty), InvalidArgument);
-
-  const auto instance = small_instance(9);
-  auto problem = as_problem(instance);
-  linalg::Vec wrong_mu(3, 0.0);
-  EXPECT_THROW(PrimalDualSolver().solve(problem, &wrong_mu),
-               InvalidArgument);
 }
 
 TEST(PrimalDual, OptionValidation) {
@@ -156,6 +143,92 @@ TEST_P(PrimalDualVsExactTest, CloseToExactOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, PrimalDualVsExactTest,
                          ::testing::Range<std::uint64_t>(20, 32));
+
+// ------------------------------------------------------- statelessness ----
+
+/// One leg of the statelessness check: demand representation x P2 regime
+/// (omega_sbs_factor 0 selects the exact P2, > 0 the FISTA P2, whose
+/// iterates depend on where they start).
+struct StatelessCase {
+  const char* name;
+  bool sparse;
+  double omega_sbs_factor;
+};
+
+void PrintTo(const StatelessCase& leg, std::ostream* os) { *os << leg.name; }
+
+class StatelessSolve : public ::testing::TestWithParam<StatelessCase> {};
+
+/// A solve is a pure function of its problem: window B solved on a solver
+/// that first solved a different, longer window A must be bitwise the
+/// solve of B on a fresh solver — schedule, bounds, iterations and mu.
+TEST_P(StatelessSolve, EarlierWindowLeavesNoTrace) {
+  const StatelessCase& leg = GetParam();
+  workload::PaperScenario scenario;
+  scenario.seed = 31;
+  scenario.num_sbs = 2;
+  scenario.num_contents = 8;
+  scenario.classes_per_sbs = 2;
+  scenario.horizon = 7;
+  scenario.cache_capacity = 2;
+  scenario.bandwidth = 3.0;
+  scenario.beta = 2.0;
+  scenario.omega_sbs_factor = leg.omega_sbs_factor;
+  const auto instance =
+      leg.sparse ? scenario.build_sparse() : scenario.build();
+
+  model::DemandTrace dense_a, dense_b;
+  model::SparseDemandTrace sparse_a, sparse_b;
+  HorizonProblem a, b;
+  a.config = b.config = &instance.config;
+  if (leg.sparse) {
+    const workload::PerfectPredictor predictor(instance.sparse_demand);
+    sparse_a = predictor.predict_window_sparse(0, 4);
+    sparse_b = predictor.predict_window_sparse(1, 3);
+    a.sparse_demand = &sparse_a;
+    b.sparse_demand = &sparse_b;
+  } else {
+    const workload::PerfectPredictor predictor(instance.demand);
+    dense_a = predictor.predict_window(0, 4);
+    dense_b = predictor.predict_window(1, 3);
+    a.demand = &dense_a;
+    b.demand = &dense_b;
+  }
+  a.initial_cache = instance.initial_cache;
+
+  PrimalDualSolver used;
+  const HorizonSolution first = used.solve(a);
+  // B starts where A's plan leaves the cache, as the next RHC window does.
+  b.initial_cache = first.schedule.front().cache;
+  const HorizonSolution got = used.solve(b);
+  const HorizonSolution want = PrimalDualSolver().solve(b);
+
+  EXPECT_EQ(got.upper_bound, want.upper_bound);
+  EXPECT_EQ(got.lower_bound, want.lower_bound);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.mu, want.mu);
+  ASSERT_EQ(got.schedule.size(), want.schedule.size());
+  for (std::size_t t = 0; t < want.schedule.size(); ++t) {
+    EXPECT_TRUE(got.schedule[t].cache == want.schedule[t].cache) << t;
+    for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
+      EXPECT_EQ(got.schedule[t].load.sbs_data(n),
+                want.schedule[t].load.sbs_data(n))
+          << "slot " << t << " sbs " << n;
+    }
+  }
+}
+
+// The "primal_dual" prefix keeps these in the TSan CI leg's -R filter.
+INSTANTIATE_TEST_SUITE_P(
+    primal_dual, StatelessSolve,
+    ::testing::Values(StatelessCase{"dense_exact", false, 0.0},
+                      StatelessCase{"dense_fista", false, 0.1},
+                      StatelessCase{"sparse_exact", true, 0.0},
+                      StatelessCase{"sparse_fista", true, 0.1}),
+    [](const ::testing::TestParamInfo<StatelessCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 // ------------------------------------------------------------- exact DP ----
 

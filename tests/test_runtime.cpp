@@ -117,7 +117,7 @@ TEST(AnytimeSolve, DeadlineExpiryReturnsFeasibleIncumbent) {
   const auto problem = as_problem(instance);
   core::PrimalDualSolver solver(tight_options());
   auto token = runtime::DeadlineToken::after_checks(0);
-  const auto solution = solver.solve(problem, nullptr, &token);
+  const auto solution = solver.solve(problem, &token);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   EXPECT_EQ(solution.iterations, 1u);  // one full iteration before expiry
   EXPECT_TRUE(std::isfinite(solution.upper_bound));
@@ -135,7 +135,7 @@ TEST(AnytimeSolve, ChecksBudgetBoundsIterations) {
   for (const std::uint64_t checks : {0ULL, 1ULL, 3ULL}) {
     core::PrimalDualSolver solver(tight_options());
     auto token = runtime::DeadlineToken::after_checks(checks);
-    const auto solution = solver.solve(problem, nullptr, &token);
+    const auto solution = solver.solve(problem, &token);
     EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
     EXPECT_EQ(solution.iterations, checks + 1);
   }
@@ -148,7 +148,7 @@ TEST(AnytimeSolve, IncumbentNoBetterThanFullSolve) {
   const auto complete = full.solve(problem);
   core::PrimalDualSolver limited(tight_options());
   auto token = runtime::DeadlineToken::after_checks(0);
-  const auto truncated = limited.solve(problem, nullptr, &token);
+  const auto truncated = limited.solve(problem, &token);
   // The incumbent is the best-so-far: more iterations can only improve it.
   EXPECT_GE(truncated.upper_bound, complete.upper_bound - 1e-12);
 }
@@ -160,7 +160,7 @@ TEST(AnytimeSolve, NullAndUnlimitedTokensAreBitIdentical) {
   const auto baseline = plain.solve(problem);
   core::PrimalDualSolver tokened(tight_options());
   runtime::DeadlineToken unlimited;
-  const auto with_token = tokened.solve(problem, nullptr, &unlimited);
+  const auto with_token = tokened.solve(problem, &unlimited);
   EXPECT_EQ(baseline.status, with_token.status);
   EXPECT_EQ(baseline.iterations, with_token.iterations);
   EXPECT_EQ(baseline.upper_bound, with_token.upper_bound);
@@ -203,7 +203,7 @@ TEST(AnytimeSolve, OverlapSolverHonorsDeadline) {
   options.epsilon = 1e-16;  // unreachable; see tight_options()
   overlap::OverlapPrimalDualSolver solver(options);
   auto token = runtime::DeadlineToken::after_checks(1);
-  const auto solution = solver.solve(problem, nullptr, &token);
+  const auto solution = solver.solve(problem, &token);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   EXPECT_EQ(solution.iterations, 2u);
   EXPECT_TRUE(std::isfinite(solution.upper_bound));
@@ -216,8 +216,8 @@ TEST(Supervisor, CleanSolveEmitsNoEvents) {
   const auto problem = as_problem(instance);
   core::PrimalDualSolver supervised(tight_options());
   runtime::SupervisionLog log;
-  const auto a = runtime::supervised_solve(supervised, problem, nullptr,
-                                           nullptr, {}, &log, /*slot=*/0,
+  const auto a = runtime::supervised_solve(supervised, problem, nullptr, {},
+                                           &log, /*slot=*/0,
                                            /*min_horizon=*/1);
   EXPECT_TRUE(log.events.empty());
   core::PrimalDualSolver plain(tight_options());
@@ -233,7 +233,7 @@ TEST(Supervisor, DeadlineExpiryIsLoggedNotRetried) {
   runtime::SupervisionLog log;
   auto token = runtime::DeadlineToken::after_checks(0);
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, &token, {}, &log, /*slot=*/4,
+      solver, problem, &token, {}, &log, /*slot=*/4,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   ASSERT_EQ(log.events.size(), 1u);
@@ -267,7 +267,7 @@ TEST(Supervisor, TruncatedRetryRecoversFromPoisonedTail) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, {}, &log, /*slot=*/0,
       /*min_horizon=*/1);
   // Horizon 4, halved to 2 on attempt 1: the NaN tail slot is gone.
   EXPECT_NE(solution.status, solver::SolveStatus::kNonFiniteInput);
@@ -294,7 +294,7 @@ TEST(Supervisor, ExhaustionReturnsSafeFallback) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, {}, &log, /*slot=*/0,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
   EXPECT_EQ(solution.schedule.size(), instance.horizon());
@@ -310,7 +310,7 @@ TEST(Supervisor, MinHorizonFloorsTruncation) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, {}, &log, /*slot=*/0,
       /*min_horizon=*/3);
   // Horizon 4 halves to 2 < floor 3, so the retry solves exactly 3 slots —
   // which excises the poisoned slot 3 and recovers.
@@ -328,8 +328,8 @@ TEST(Supervisor, NullLogDisablesRetries) {
   const TailPoisonedProblem owned(instance);
   const auto& problem = owned.problem;
   core::PrimalDualSolver supervised(tight_options());
-  const auto a = runtime::supervised_solve(supervised, problem, nullptr,
-                                           nullptr, {}, nullptr, /*slot=*/0,
+  const auto a = runtime::supervised_solve(supervised, problem, nullptr, {},
+                                           nullptr, /*slot=*/0,
                                            /*min_horizon=*/1);
   // Without a log the call is exactly one plain solve: same fallback.
   core::PrimalDualSolver plain(tight_options());
@@ -431,6 +431,13 @@ TEST(CheckpointFile, RejectsWrongMagicAndVersion) {
     auto future = bytes;
     future[8] = 0xFF;  // version field follows the 8-byte magic
     util::write_file_atomic(path, future);
+    EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument);
+  }
+  {
+    // Version 2 carried solver warm-state blobs in the controller payloads.
+    auto stale = bytes;
+    stale[8] = 2;
+    util::write_file_atomic(path, stale);
     EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument);
   }
   std::remove(path.c_str());
