@@ -68,6 +68,8 @@ model::CacheState read_cache(util::BinaryReader& r,
     for (std::size_t k = 0; k < num_contents; ++k) {
       if (bitmap[k] != 0) cache.set(n, k, true);
     }
+    MDO_REQUIRE(cache.count(n) <= config.sbs[n].cache_capacity,
+                "cache snapshot: SBS holds more items than its capacity");
   }
   return cache;
 }
