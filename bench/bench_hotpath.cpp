@@ -3,11 +3,13 @@
 // Two measurements back the zero-allocation claims in DESIGN.md ("hot-path
 // memory model"):
 //
-//  1. Steady-state P2 micro-loop: bind a core::P2Workspace once, then
-//     re-solve with a refreshed linear term (exactly what the dual loop
-//     does per iteration) and count heap allocations with a global
-//     operator-new hook. After the warm-up solve the count must stay at
-//     zero — for the exact parametric path AND the FISTA path.
+//  1. Steady-state micro-loops, counting heap allocations with a global
+//     operator-new hook. P2: bind a core::P2Workspace once, then re-solve
+//     with a refreshed linear term (exactly what the dual loop does per
+//     iteration), for the exact parametric path AND the FISTA path. P1:
+//     rebind one core::CachingFlowWorkspace to windows of the warm-up
+//     shape or smaller and solve each (what every window solve does per
+//     SBS). After the warm-up the counts must stay at zero.
 //
 //  2. Full RHC runs over the headline instance (default T=100): the
 //     hot path on 1 thread ("hotpath") and on --threads threads
@@ -21,7 +23,8 @@
 // Flags beyond the common set (see common.hpp; --slots defaults to 100
 // here, the paper's T):
 //   --reps N                timing repetitions per config (default 3)
-//   --steady-repeats N      steady-state P2 re-solves (default 64)
+//   --steady-repeats N      steady-state P2 re-solves / P1 rebinds
+//                           (default 64)
 //   --steady-allocs-limit N allocation ceiling for the steady loop
 //   --threads N             thread count for the determinism re-run
 //   --p99-budget-ms X       p99 decision-latency budget for the hot path
@@ -38,6 +41,7 @@
 #include <thread>
 
 #include "common.hpp"
+#include "core/caching.hpp"
 #include "core/load_balancing.hpp"
 #include "core/primal_dual.hpp"
 #include "online/rhc.hpp"
@@ -173,6 +177,59 @@ SteadyStats measure_p2_steady(bool fista_path, std::size_t repeats) {
   return stats;
 }
 
+/// P1 window of `contents` x `horizon` cells with random rewards and an
+/// initial cache of `cached` contents.
+core::CachingSubproblem p1_window(std::size_t contents, std::size_t horizon,
+                                  std::size_t capacity, std::size_t cached,
+                                  Rng& rng) {
+  core::CachingSubproblem p1;
+  p1.num_contents = contents;
+  p1.horizon = horizon;
+  p1.capacity = capacity;
+  p1.beta = 100.0;
+  p1.initial.assign(contents, 0);
+  for (std::size_t k = 0; k < cached; ++k) p1.initial[k * 2 % contents] = 1;
+  p1.rewards.resize(contents * horizon);
+  for (auto& v : p1.rewards) v = rng.uniform(0.0, 60.0);
+  return p1;
+}
+
+/// Rebinds one P1 flow workspace to windows of the warm-up shape (paper
+/// scale: K=30, w=10, C=5) and of a smaller one, alternately, and solves
+/// each — the per-SBS pattern of consecutive window solves.
+SteadyStats measure_p1_steady(std::size_t repeats) {
+  Rng rng(9);
+  core::CachingSubproblem full = p1_window(30, 10, 5, 5, rng);
+  core::CachingSubproblem small = p1_window(18, 7, 4, 2, rng);
+  const linalg::Vec full_base = full.rewards;
+  const linalg::Vec small_base = small.rewards;
+  core::CachingFlowWorkspace flow;
+  std::vector<std::uint8_t> x;
+  SteadyStats stats;
+
+  const std::uint64_t before_warmup = allocation_count();
+  flow.bind(full);
+  flow.solve_into(full, x);
+  stats.warmup_allocations = allocation_count() - before_warmup;
+
+  const std::uint64_t before_steady = allocation_count();
+  for (std::size_t r = 0; r < repeats; ++r) {
+    core::CachingSubproblem& p1 = r % 2 == 0 ? small : full;
+    const linalg::Vec& base = r % 2 == 0 ? small_base : full_base;
+    for (std::size_t j = 0; j < base.size(); ++j) {
+      p1.rewards[j] = base[j] * (1.0 + 0.01 * static_cast<double>((r + j) % 7));
+    }
+    flow.bind(p1);
+    flow.solve_into(p1, x);
+    ++stats.solves;
+  }
+  stats.steady_allocations = allocation_count() - before_steady;
+  stats.allocs_per_iteration = static_cast<double>(stats.steady_allocations) /
+                               static_cast<double>(std::max<std::size_t>(
+                                   stats.solves, 1));
+  return stats;
+}
+
 // ---- Measurement 2: full RHC runs ---------------------------------------
 
 struct RunStats {
@@ -289,15 +346,20 @@ int main(int argc, char** argv) {
     std::cout << "mu bytes resident (dense window) = " << mu_bytes_resident
               << "\n";
 
-    // ---- Steady-state P2 allocations (single-threaded by construction).
+    // ---- Steady-state P2 and P1 allocations (single-threaded by
+    // construction).
     const SteadyStats exact = measure_p2_steady(false, steady_repeats);
     const SteadyStats fista = measure_p2_steady(true, steady_repeats);
+    const SteadyStats p1_flow = measure_p1_steady(steady_repeats);
     std::cout << "P2 steady-state allocations: exact="
               << exact.steady_allocations << "/" << exact.solves
               << " solves, fista=" << fista.steady_allocations << "/"
               << fista.solves << " solves (" << fista.solver_iterations
               << " FISTA iterations, " << fista.allocs_per_iteration
-              << " allocs/iteration)\n";
+              << " allocs/iteration)\n"
+              << "P1 steady-state allocations: flow="
+              << p1_flow.steady_allocations << "/" << p1_flow.solves
+              << " rebinds+solves\n";
 
     // ---- Full runs: the hot path on 1 thread and on mt_threads.
     const std::vector<RunStats> runs = {
@@ -314,10 +376,11 @@ int main(int argc, char** argv) {
                 << mt_threads << " threads\n";
     }
     const bool allocs_ok = exact.steady_allocations <= steady_limit &&
-                           fista.steady_allocations <= steady_limit;
+                           fista.steady_allocations <= steady_limit &&
+                           p1_flow.steady_allocations <= steady_limit;
     if (!allocs_ok) {
-      std::cerr << "ALLOCATION CEILING EXCEEDED: steady-state P2 solves "
-                   "allocated (limit "
+      std::cerr << "ALLOCATION CEILING EXCEEDED: steady-state P2 solves or "
+                   "P1 rebinds allocated (limit "
                 << steady_limit << ")\n";
     }
     // Optional p99 decision-latency budget (ms) on the hot path.
@@ -345,7 +408,8 @@ int main(int argc, char** argv) {
            << std::thread::hardware_concurrency() << ",\n"
            << "  \"steady_state\": {\n";
       json_steady(json, "exact", exact, false);
-      json_steady(json, "fista", fista, true);
+      json_steady(json, "fista", fista, false);
+      json_steady(json, "p1_flow", p1_flow, true);
       json << "  },\n"
            << "  \"runs\": [\n";
       for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -61,25 +61,26 @@ void CachingFlowWorkspace::bind(const CachingSubproblem& problem) {
   // cached during slot t.
   //
   // Nodes: source, sink, pool[0..w] (pool[t] = free at the beginning of
-  // slot t; pool[w] feeds the sink), in(k, t) / out(k, t).
-  network_ = solver::MinCostFlow(0);
-  source_ = network_.add_node();
-  sink_ = network_.add_node();
-  std::vector<std::size_t> pool(w + 1);
-  for (auto& node : pool) node = network_.add_node();
-
+  // slot t; pool[w] feeds the sink), in(k, t) / out(k, t), then one carrier
+  // per initially cached content. The network is rebuilt in place: clear()
+  // and the exact-size reserve() keep its buffers across binds.
+  std::size_t initially_cached = 0;
+  for (const auto v : problem.initial) initially_cached += v;
+  const std::size_t grid_nodes = 2 + (w + 1) + 2 * k_count * w;
+  const std::size_t arcs = 4 * k_count * w - k_count + w + 1 +
+                           3 * initially_cached +
+                           (initially_cached < problem.capacity ? 1 : 0);
+  network_.clear(grid_nodes);
+  network_.reserve(grid_nodes + initially_cached, arcs);
+  source_ = 0;
+  sink_ = 1;
+  auto pool = [](std::size_t t) { return 2 + t; };
   auto in_node = [&](std::size_t k, std::size_t t) {
     return 2 + (w + 1) + 2 * (t * k_count + k);
   };
   auto out_node = [&](std::size_t k, std::size_t t) {
     return in_node(k, t) + 1;
   };
-  for (std::size_t t = 0; t < w; ++t) {
-    for (std::size_t k = 0; k < k_count; ++k) {
-      network_.add_node();  // in(k, t)
-      network_.add_node();  // out(k, t)
-    }
-  }
 
   // Occupancy arcs: one unit through (k, t) collects reward nu[k, t].
   occupancy_arc_.resize(k_count * w);
@@ -91,15 +92,15 @@ void CachingFlowWorkspace::bind(const CachingSubproblem& problem) {
   }
   // Pool chain and terminal arcs.
   for (std::size_t t = 0; t < w; ++t) {
-    network_.add_arc(pool[t], pool[t + 1], capacity_, 0.0);
+    network_.add_arc(pool(t), pool(t + 1), capacity_, 0.0);
   }
-  network_.add_arc(pool[w], sink_, capacity_, 0.0);
+  network_.add_arc(pool(w), sink_, capacity_, 0.0);
   for (std::size_t t = 0; t < w; ++t) {
     for (std::size_t k = 0; k < k_count; ++k) {
       // Insert content k at slot t: pay the replacement cost beta.
-      network_.add_arc(pool[t], in_node(k, t), 1, problem.beta);
+      network_.add_arc(pool(t), in_node(k, t), 1, problem.beta);
       // Evict after slot t.
-      network_.add_arc(out_node(k, t), pool[t + 1], 1, 0.0);
+      network_.add_arc(out_node(k, t), pool(t + 1), 1, 0.0);
       // Stay cached into slot t + 1 for free.
       if (t + 1 < w) {
         network_.add_arc(out_node(k, t), in_node(k, t + 1), 1, 0.0);
@@ -114,10 +115,13 @@ void CachingFlowWorkspace::bind(const CachingSubproblem& problem) {
     const std::size_t carrier = network_.add_node();
     network_.add_arc(source_, carrier, 1, 0.0);
     network_.add_arc(carrier, in_node(k, 0), 1, 0.0);  // keep without charge
-    network_.add_arc(carrier, pool[0], 1, 0.0);        // evict immediately
+    network_.add_arc(carrier, pool(0), 1, 0.0);        // evict immediately
     --free_slots;
   }
-  if (free_slots > 0) network_.add_arc(source_, pool[0], free_slots, 0.0);
+  if (free_slots > 0) network_.add_arc(source_, pool(0), free_slots, 0.0);
+  MDO_CHECK(network_.num_nodes() == grid_nodes + initially_cached &&
+                network_.num_arcs() == arcs,
+            "P1 flow: network size differs from its reservation");
   bound_ = true;
 }
 

@@ -65,13 +65,18 @@ CachingSolution solve_caching_flow(const CachingSubproblem& problem);
 /// in place, resets the flow and re-augments — bit-identical to
 /// solve_caching_flow (same arcs in the same order, same successive
 /// shortest paths) without rebuilding O(K * W) nodes and arcs every
-/// iteration.
+/// iteration. The network's buffers outlive a bind: rebinding at the same or
+/// a smaller size allocates nothing, so a workspace kept across window
+/// solves rebuilds its network in place.
 class CachingFlowWorkspace {
  public:
   /// (Re)builds the network for the problem's shape, parameters and initial
   /// state. Validates the problem; the rewards it carries are installed too,
   /// so solve_into() may follow immediately.
   void bind(const CachingSubproblem& problem);
+
+  /// Marks the workspace unbound (solve_into() then throws); keeps buffers.
+  void unbind() { bound_ = false; }
 
   /// True once bind() has run (solve_into() requires it).
   bool bound() const { return bound_; }

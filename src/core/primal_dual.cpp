@@ -296,7 +296,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // One full-range ShardCore runs the per-SBS passes (see shard_core.cpp);
   // every reduction stays below in serial index order.
   ShardCore core;
-  core.begin(inputs, shard_opts, bank_, std::move(sets));
+  core.begin(inputs, shard_opts, bank_, p1_bank_, std::move(sets));
 
   HorizonSolution best;
   best.upper_bound = kInf;

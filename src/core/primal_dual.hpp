@@ -132,9 +132,9 @@ class PrimalDualSolver {
   /// status with a safe fallback schedule (see HorizonSolution::status).
   ///
   /// Non-const only because the solver keeps the per-(slot, SBS) P2
-  /// workspace bank as reusable buffers (the zero-allocation hot path);
-  /// every workspace is re-bound, with a cold P2 start, at the top of each
-  /// solve.
+  /// workspace bank and the per-SBS P1 bank as reusable buffers (the
+  /// zero-allocation hot path); every workspace is re-bound, with a cold P2
+  /// start and a P1 network rebuilt in place, at the top of each solve.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -150,6 +150,7 @@ class PrimalDualSolver {
  private:
   PrimalDualOptions options_;
   std::vector<CellState> bank_;  // cell = t * num_sbs + n; buffers only
+  std::vector<P1State> p1_bank_;  // per SBS; buffers only
 };
 
 }  // namespace mdo::core

@@ -68,7 +68,8 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
 }
 
 void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
-                      std::vector<CellState>& bank, ActiveSets sets) {
+                      std::vector<CellState>& bank,
+                      std::vector<P1State>& p1_bank, ActiveSets sets) {
   MDO_REQUIRE(in.config != nullptr && in.initial_cache != nullptr,
               "shard core: config and initial cache must be set");
   MDO_REQUIRE((in.demand != nullptr) != (in.sparse_demand != nullptr),
@@ -81,6 +82,7 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   layout_ = MuLayout(*config_);
   sets_ = std::move(sets);
   bank_ = &bank;
+  p1_ = &p1_bank;
   mu_off_ = sparse_ ? mu_block_offsets(*config_, horizon_, sets_)
                     : std::vector<std::size_t>{};
 
@@ -113,11 +115,12 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   // ---- Per-SBS P1 state, reused across dual iterations: the subproblem's
   // shape, parameters and initial cache are fixed for the whole solve, only
   // the rewards (the mu sums) change — so the flow network is built once
-  // here and merely re-priced every iteration.
-  p1_.clear();
-  p1_.resize(num_sbs);
+  // here (in the bank's retained buffers) and merely re-priced every
+  // iteration.
+  p1_bank.resize(num_sbs);
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
-    CachingSubproblem& sub = p1_[n].sub;
+    P1State& p1 = p1_bank[n];
+    CachingSubproblem& sub = p1.sub;
     // Sparse mode restricts P1 to the window's content union: everything
     // outside has zero reward in every slot and is not initially cached, so
     // (with beta > 0) the optimum never caches it. The flow pushes exactly
@@ -142,10 +145,14 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
       }
     }
     sub.rewards.assign(kp * w, 0.0);
-    if (options_.backend == P1Backend::kFlow && kp > 0) p1_[n].flow.bind(sub);
+    if (options_.backend == P1Backend::kFlow && kp > 0) {
+      p1.flow.bind(sub);
+    } else {
+      p1.flow.unbind();  // an empty union must not reuse an older network
+    }
+    p1.x.clear();
   });
 
-  x_.assign(num_sbs, {});
   p1_objectives_.assign(num_sbs, 0.0);
   p2_objectives_.assign(w * num_sbs, 0.0);
 }
@@ -157,6 +164,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
   const std::size_t k_count = config.num_contents;
   const bool sparse = sparse_;
   std::vector<CellState>& bank = *bank_;
+  std::vector<P1State>& p1_bank = *p1_;
   if (sparse) {
     MDO_REQUIRE(mu.size() == mu_off_.back(),
                 "shard core: compact mu size mismatch");
@@ -173,10 +181,11 @@ void ShardCore::iterate(const linalg::Vec& mu) {
   util::parallel_for(0, num_sbs + w * num_sbs, [&](std::size_t task) {
     if (task < num_sbs) {
       const std::size_t n = task;
-      CachingSubproblem& sub = p1_[n].sub;
+      P1State& p1 = p1_bank[n];
+      CachingSubproblem& sub = p1.sub;
       if (sub.num_contents == 0) {
         // Nothing demanded or cached anywhere in the window: P1 is empty.
-        x_[n].clear();
+        p1.x.clear();
         p1_objectives_[n] = 0.0;
         return;
       }
@@ -220,10 +229,10 @@ void ShardCore::iterate(const linalg::Vec& mu) {
         }
       }
       if (options_.backend == P1Backend::kFlow) {
-        p1_objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
+        p1_objectives_[n] = p1.flow.solve_into(sub, p1.x);
       } else {
         const CachingSolution sol = solve_caching_simplex(sub);
-        x_[n] = sol.x;
+        p1.x = sol.x;
         p1_objectives_[n] = sol.objective;
       }
       return;
@@ -267,11 +276,12 @@ void ShardCore::repair(model::Schedule& schedule) {
     if (sparse) {
       const std::vector<std::size_t>& al = sets_.active[cell];
       const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-      const std::size_t kp = p1_[n].sub.num_contents;
+      const P1State& p1 = (*p1_)[n];
+      const std::size_t kp = p1.sub.num_contents;
       const std::size_t a_count = al.size();
       ub.assign(classes * a_count, 0.0);
       for (std::size_t i = 0; i < a_count; ++i) {
-        const bool cached = x_[n][t * kp + map[i]] != 0;
+        const bool cached = p1.x[t * kp + map[i]] != 0;
         schedule[t].cache.set(n, al[i], cached);
         if (cached) {
           for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
@@ -279,8 +289,9 @@ void ShardCore::repair(model::Schedule& schedule) {
       }
     } else {
       ub.assign(classes * k_count, 0.0);
+      const std::uint8_t* x = (*p1_)[n].x.data() + t * k_count;
       for (std::size_t k = 0; k < k_count; ++k) {
-        const bool cached = x_[n][t * k_count + k] != 0;
+        const bool cached = x[k] != 0;
         schedule[t].cache.set(n, k, cached);
         if (cached) {
           for (std::size_t m = 0; m < classes; ++m) ub[m * k_count + k] = 1.0;
@@ -326,11 +337,12 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
       // max(0, mu + delta*(y - x)) kernel row by row over the contiguous
       // block — per-coordinate arithmetic identical to the dense update.
       const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-      const std::size_t kp = p1_[n].sub.num_contents;
+      const P1State& p1 = (*p1_)[n];
+      const std::size_t kp = p1.sub.num_contents;
       const std::size_t a_count = map.size();
       cs.xd.resize(a_count);
       for (std::size_t i = 0; i < a_count; ++i) {
-        cs.xd[i] = static_cast<double>(x_[n][t * kp + map[i]]);
+        cs.xd[i] = static_cast<double>(p1.x[t * kp + map[i]]);
       }
       double* block = mu.data() + mu_off_[cell];
       for (std::size_t m = 0; m < classes; ++m) {
@@ -341,12 +353,11 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
       return;
     }
     const std::size_t base = layout_.offset(t, n);
+    const std::uint8_t* x = (*p1_)[n].x.data() + t * k_count;
     for (std::size_t m = 0; m < classes; ++m) {
       for (std::size_t k = 0; k < k_count; ++k) {
         const std::size_t j = base + m * k_count + k;
-        const double subgrad =
-            y[m * k_count + k] -
-            static_cast<double>(x_[n][t * k_count + k]);
+        const double subgrad = y[m * k_count + k] - static_cast<double>(x[k]);
         mu[j] = std::max(0.0, mu[j] + delta * subgrad);
       }
     }

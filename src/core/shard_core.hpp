@@ -1,12 +1,12 @@
 // Per-SBS core of the primal-dual decomposition (Algorithm 1).
 //
 // The Lagrangian separates per SBS — P1 per SBS over the window, P2/repair
-// per (slot, SBS). ShardCore owns the per-SBS P1 flow networks, binds the
-// per-(slot, SBS) P2 workspace bank, and runs those independent pieces on
-// the thread pool:
+// per (slot, SBS). ShardCore binds the per-SBS P1 bank (flow networks) and
+// the per-(slot, SBS) P2 workspace bank, both owned by the solver, and runs
+// those independent pieces on the thread pool:
 //
 //   begin()        binds the core to a window problem (config, demand
-//                  window, initial cache and workspace bank),
+//                  window, initial cache and both workspace banks),
 //   iterate(mu)    runs one dual iteration's P1 + P2 passes,
 //   repair()       re-solves P2 with ub = x for the feasible incumbent,
 //   dual_update()  applies the projected subgradient step to mu.
@@ -70,6 +70,15 @@ struct CellState {
   linalg::Vec xd;      // compact dual-ascent x-expansion scratch
 };
 
+/// Per-SBS P1 state. Like CellState, the solver keeps the bank across solves
+/// only as reusable buffers (the flow network's arcs and CSR index, the
+/// rewards and the schedule rows); begin() rewrites every field.
+struct P1State {
+  CachingSubproblem sub;
+  CachingFlowWorkspace flow;    // bound only when the flow backend runs P1
+  std::vector<std::uint8_t> x;  // last iterate()'s schedule, [t * kp + i]
+};
+
 /// Sparse-mode index structures, deterministic functions of (demand window,
 /// initial cache): per-cell active sets (support union cached), the per-SBS
 /// sorted union over the window (P1's restricted content list), and the
@@ -126,14 +135,16 @@ struct ShardInputs {
 
 class ShardCore {
  public:
-  /// Binds the core to a window problem. `bank` (cell = t * num_sbs + n,
-  /// resized here) must outlive the core's use; begin() re-binds its
-  /// workspaces to the new window, each starting P2 cold. `sets` must be
+  /// Binds the core to a window problem. `bank` (cell = t * num_sbs + n)
+  /// and `p1_bank` (per SBS), both resized here, must outlive the core's
+  /// use; begin() re-binds their workspaces to the new window, each P2
+  /// starting cold and each P1 network rebuilt in place. `sets` must be
   /// the structures build_active_sets returns for these inputs (moved in so
   /// the solver, which also needs them, builds them once); ignored in dense
   /// mode.
   void begin(const ShardInputs& in, const ShardOptions& opts,
-             std::vector<CellState>& bank, ActiveSets sets);
+             std::vector<CellState>& bank, std::vector<P1State>& p1_bank,
+             ActiveSets sets);
 
   /// One dual iteration's P1 (caching per SBS under rewards nu = sum_m mu)
   /// and P2 (load balancing per cell with linear term mu) passes, batched
@@ -161,11 +172,6 @@ class ShardCore {
   const std::vector<double>& p2_objectives() const { return p2_objectives_; }
 
  private:
-  struct P1State {
-    CachingSubproblem sub;
-    CachingFlowWorkspace flow;
-  };
-
   const model::NetworkConfig* config_ = nullptr;
   ShardInputs inputs_;
   ShardOptions options_;
@@ -175,10 +181,9 @@ class ShardCore {
   std::vector<std::size_t> mu_off_;
   ActiveSets sets_;
   std::vector<CellState>* bank_ = nullptr;
-  std::vector<P1State> p1_;
+  std::vector<P1State>* p1_ = nullptr;
   std::vector<double> p1_objectives_;
   std::vector<double> p2_objectives_;
-  std::vector<std::vector<std::uint8_t>> x_;
 };
 
 }  // namespace mdo::core

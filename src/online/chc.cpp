@@ -11,11 +11,8 @@
 namespace mdo::online {
 
 FhcPlanner::FhcPlanner(std::size_t offset, std::size_t window,
-                       std::size_t commit, core::PrimalDualOptions options)
-    : offset_(offset),
-      window_(window),
-      commit_(commit),
-      solver_(options) {
+                       std::size_t commit)
+    : offset_(offset), window_(window), commit_(commit) {
   MDO_REQUIRE(window >= 1, "FHC window must be >= 1");
   MDO_REQUIRE(commit >= 1 && commit <= window,
               "FHC commitment must be in [1, window]");
@@ -35,7 +32,7 @@ void FhcPlanner::resync(std::size_t slot, const model::CacheState& executed) {
   resync_cache_ = executed;
 }
 
-void FhcPlanner::plan(std::ptrdiff_t tau,
+void FhcPlanner::plan(std::ptrdiff_t tau, core::PrimalDualSolver& solver,
                       const workload::Predictor& predictor,
                       runtime::DeadlineToken* deadline,
                       runtime::SupervisionLog* log) {
@@ -104,10 +101,10 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
           1, std::min<std::ptrdiff_t>(
                  static_cast<std::ptrdiff_t>(commit_),
                  static_cast<std::ptrdiff_t>(total_horizon) - tau)));
-  // With no deadline and no log this is exactly solver_.solve(problem) —
+  // With no deadline and no log this is exactly solver.solve(problem) —
   // the clean path stays bit-identical to the unsupervised planner.
   auto solution = runtime::supervised_solve(
-      solver_, problem, deadline, {}, log,
+      solver, problem, deadline, {}, log,
       static_cast<std::size_t>(std::max<std::ptrdiff_t>(tau, 0)),
       min_horizon);
 
@@ -118,8 +115,9 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
 }
 
 const model::SlotDecision& FhcPlanner::action(
-    std::size_t t, const workload::Predictor& predictor,
-    runtime::DeadlineToken* deadline, runtime::SupervisionLog* log) {
+    std::size_t t, core::PrimalDualSolver& solver,
+    const workload::Predictor& predictor, runtime::DeadlineToken* deadline,
+    runtime::SupervisionLog* log) {
   MDO_REQUIRE(instance_ != nullptr, "FHC: reset() must be called first");
   // Most recent plan time tau <= t with tau ≡ offset (mod commit).
   const auto signed_t = static_cast<std::ptrdiff_t>(t);
@@ -129,7 +127,7 @@ const model::SlotDecision& FhcPlanner::action(
   const std::ptrdiff_t tau = signed_t - diff;
 
   if (!has_plan_ || plan_time_ != tau || resync_cache_.has_value()) {
-    plan(tau, predictor, deadline, log);
+    plan(tau, solver, predictor, deadline, log);
   }
   const std::ptrdiff_t index = signed_t - plan_time_;
   MDO_CHECK(index >= 0 && index < static_cast<std::ptrdiff_t>(plan_.size()),
@@ -166,14 +164,14 @@ void FhcPlanner::restore_state(util::BinaryReader& r) {
 
 ChcController::ChcController(std::size_t window, std::size_t commit,
                              core::PrimalDualOptions options, double rho)
-    : window_(window), commit_(commit), options_(options), rho_(rho) {
+    : window_(window), commit_(commit), rho_(rho), solver_(options) {
   MDO_REQUIRE(window >= 1, "CHC window must be >= 1");
   MDO_REQUIRE(commit >= 1 && commit <= window,
               "CHC commitment level must be in [1, window]");
   MDO_REQUIRE(rho > 0.0 && rho < 1.0, "CHC rho must be in (0, 1)");
   planners_.reserve(commit_);
   for (std::size_t v = 0; v < commit_; ++v) {
-    planners_.emplace_back(v, window_, commit_, options_);
+    planners_.emplace_back(v, window_, commit_);
   }
 }
 
@@ -213,7 +211,7 @@ model::SlotDecision ChcController::decide(const DecisionContext& ctx) {
   const double inv_r = 1.0 / static_cast<double>(commit_);
   for (auto& planner : planners_) {
     const model::SlotDecision& action =
-        planner.action(ctx.slot, *ctx.predictor, ctx.deadline,
+        planner.action(ctx.slot, solver_, *ctx.predictor, ctx.deadline,
                        ctx.supervision);
     for (std::size_t n = 0; n < config.num_sbs(); ++n) {
       for (std::size_t k = 0; k < config.num_contents; ++k) {

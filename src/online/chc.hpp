@@ -16,7 +16,9 @@
 // Every plan is a fresh Algorithm 1 solve of its window. A replan forced
 // by a resync at an unchanged tau starts from the marginal multipliers
 // like any other plan: reusing the previous plan's multipliers gave no
-// systematic gain on the fault path (EXPERIMENTS.md E17).
+// systematic gain on the fault path (EXPERIMENTS.md E17). Since a solve is
+// a pure function of its window, the r planners share their controller's
+// solver (and with it one set of workspace buffers) instead of keeping r.
 #pragma once
 
 #include <memory>
@@ -29,20 +31,21 @@
 
 namespace mdo::online {
 
-/// One staggered FHC planner (commitment level r, window w).
+/// One staggered FHC planner (commitment level r, window w). It owns plan
+/// bookkeeping only; the solver that plans its windows is handed in.
 class FhcPlanner {
  public:
   /// `offset` = v in Psi_v; requires offset < commit <= window.
-  FhcPlanner(std::size_t offset, std::size_t window, std::size_t commit,
-             core::PrimalDualOptions options);
+  FhcPlanner(std::size_t offset, std::size_t window, std::size_t commit);
 
   void reset(const model::ProblemInstance& instance);
 
-  /// The planner's action for slot t (plans lazily when t enters a new
-  /// commitment block). `deadline`/`log` (both optional) supervise the
-  /// plan's solve (see runtime/supervisor.hpp); with neither set the solve
-  /// is exactly the unsupervised one.
+  /// The planner's action for slot t (plans lazily, with `solver`, when t
+  /// enters a new commitment block). `deadline`/`log` (both optional)
+  /// supervise the plan's solve (see runtime/supervisor.hpp); with neither
+  /// set the solve is exactly the unsupervised one.
   const model::SlotDecision& action(std::size_t t,
+                                    core::PrimalDualSolver& solver,
                                     const workload::Predictor& predictor,
                                     runtime::DeadlineToken* deadline = nullptr,
                                     runtime::SupervisionLog* log = nullptr);
@@ -60,14 +63,13 @@ class FhcPlanner {
   void restore_state(util::BinaryReader& r);
 
  private:
-  void plan(std::ptrdiff_t tau, const workload::Predictor& predictor,
+  void plan(std::ptrdiff_t tau, core::PrimalDualSolver& solver,
+            const workload::Predictor& predictor,
             runtime::DeadlineToken* deadline, runtime::SupervisionLog* log);
 
   std::size_t offset_;
   std::size_t window_;
   std::size_t commit_;
-  /// Kept across plans only for its reusable workspace buffers.
-  core::PrimalDualSolver solver_;
   const model::ProblemInstance* instance_ = nullptr;
 
   std::ptrdiff_t plan_time_ = 0;
@@ -114,10 +116,12 @@ class ChcController final : public Controller {
  private:
   std::size_t window_;
   std::size_t commit_;
-  core::PrimalDualOptions options_;
   double rho_;
   bool is_afhc_ = false;
   const model::ProblemInstance* instance_ = nullptr;
+  /// Plans every planner's windows; kept across plans only for its
+  /// reusable workspace buffers.
+  core::PrimalDualSolver solver_;
   std::vector<FhcPlanner> planners_;
 };
 

@@ -10,7 +10,8 @@ FhcController::FhcController(std::size_t window, std::size_t commit,
     : window_(window),
       commit_(commit),
       offset_(offset),
-      planner_(offset, window, commit, options) {}
+      solver_(options),
+      planner_(offset, window, commit) {}
 
 std::string FhcController::name() const {
   return "FHC(w=" + std::to_string(window_) + ",r=" + std::to_string(commit_) +
@@ -23,7 +24,7 @@ void FhcController::reset(const model::ProblemInstance& instance) {
 
 model::SlotDecision FhcController::decide(const DecisionContext& ctx) {
   MDO_REQUIRE(ctx.predictor != nullptr, "FHC needs a predictor");
-  return planner_.action(ctx.slot, *ctx.predictor, ctx.deadline,
+  return planner_.action(ctx.slot, solver_, *ctx.predictor, ctx.deadline,
                          ctx.supervision);
 }
 

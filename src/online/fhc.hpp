@@ -37,6 +37,7 @@ class FhcController final : public Controller {
   std::size_t window_;
   std::size_t commit_;
   std::size_t offset_;
+  core::PrimalDualSolver solver_;  // reusable workspace buffers only
   FhcPlanner planner_;
 };
 

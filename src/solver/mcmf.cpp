@@ -12,25 +12,54 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoArc = static_cast<std::size_t>(-1);
 }  // namespace
 
-MinCostFlow::MinCostFlow(std::size_t num_nodes) : graph_(num_nodes) {}
+MinCostFlow::MinCostFlow(std::size_t num_nodes) : num_nodes_(num_nodes) {}
+
+void MinCostFlow::clear(std::size_t num_nodes) {
+  num_nodes_ = num_nodes;
+  arcs_.clear();
+  original_capacity_.clear();
+  adjacency_valid_ = false;
+}
+
+void MinCostFlow::reserve(std::size_t nodes, std::size_t arcs) {
+  arcs_.reserve(2 * arcs);
+  original_capacity_.reserve(arcs);
+  adj_.reserve(2 * arcs);
+  first_.reserve(nodes + 2);
+}
 
 std::size_t MinCostFlow::add_node() {
-  graph_.emplace_back();
-  return graph_.size() - 1;
+  adjacency_valid_ = false;
+  return num_nodes_++;
 }
 
 std::size_t MinCostFlow::add_arc(std::size_t from, std::size_t to,
                                  std::int64_t capacity, double cost) {
-  MDO_REQUIRE(from < graph_.size() && to < graph_.size(),
+  MDO_REQUIRE(from < num_nodes_ && to < num_nodes_,
               "arc endpoint out of range");
   MDO_REQUIRE(capacity >= 0, "arc capacity must be non-negative");
   const std::size_t fwd = arcs_.size();
   arcs_.push_back({to, capacity, cost, fwd + 1});
   arcs_.push_back({from, 0, -cost, fwd});
-  graph_[from].push_back(fwd);
-  graph_[to].push_back(fwd + 1);
   original_capacity_.push_back(capacity);
+  adjacency_valid_ = false;
   return fwd / 2;
+}
+
+void MinCostFlow::build_adjacency() {
+  // Stable counting sort of the residual arcs by tail node. The tail of
+  // residual arc a is the head of its partner a ^ 1. Counts land at
+  // first_[tail + 2], so after the prefix sum first_[v + 1] is v's start;
+  // the placement pass advances it to v's end, which is (v + 1)'s start.
+  // Arc ids ascend within each node: the order add_arc() created them in.
+  first_.assign(num_nodes_ + 2, 0);
+  for (std::size_t a = 0; a < arcs_.size(); ++a) ++first_[arcs_[a ^ 1].to + 2];
+  for (std::size_t v = 2; v < first_.size(); ++v) first_[v] += first_[v - 1];
+  adj_.resize(arcs_.size());
+  for (std::size_t a = 0; a < arcs_.size(); ++a) {
+    adj_[first_[arcs_[a ^ 1].to + 1]++] = a;
+  }
+  adjacency_valid_ = true;
 }
 
 std::int64_t MinCostFlow::flow_on(std::size_t arc_id) const {
@@ -55,7 +84,7 @@ void MinCostFlow::set_arc_cost(std::size_t arc_id, double cost) {
 }
 
 bool MinCostFlow::shortest_path(std::size_t source) {
-  const std::size_t n = graph_.size();
+  const std::size_t n = num_nodes_;
   dist_.assign(n, kInf);
   prev_arc_.assign(n, kNoArc);
   dist_[source] = 0.0;
@@ -80,7 +109,8 @@ bool MinCostFlow::shortest_path(std::size_t source) {
     const std::size_t u = fifo_[head];
     head = head + 1 == fifo_.size() ? 0 : head + 1;
     in_queue_[u] = 0;
-    for (const std::size_t arc_id : graph_[u]) {
+    for (std::size_t i = first_[u]; i < first_[u + 1]; ++i) {
+      const std::size_t arc_id = adj_[i];
       const Arc& arc = arcs_[arc_id];
       if (arc.capacity <= 0) continue;
       const double candidate = dist_[u] + arc.cost;
@@ -103,11 +133,12 @@ bool MinCostFlow::shortest_path(std::size_t source) {
 
 MinCostFlow::Result MinCostFlow::solve(std::size_t source, std::size_t sink,
                                        std::int64_t max_flow) {
-  MDO_REQUIRE(source < graph_.size() && sink < graph_.size(),
+  MDO_REQUIRE(source < num_nodes_ && sink < num_nodes_,
               "source/sink out of range");
   MDO_REQUIRE(max_flow >= 0, "max_flow must be non-negative");
   Result result;
   if (max_flow == 0 || source == sink) return result;
+  if (!adjacency_valid_) build_adjacency();
 
   while (result.flow < max_flow) {
     shortest_path(source);
@@ -120,7 +151,7 @@ MinCostFlow::Result MinCostFlow::solve(std::size_t source, std::size_t sink,
     std::int64_t push = max_flow - result.flow;
     std::size_t path_arcs = 0;
     for (std::size_t v = sink; v != source;) {
-      if (++path_arcs > graph_.size()) {
+      if (++path_arcs > num_nodes_) {
         throw SolverError("min-cost flow: predecessor cycle (cost scale too "
                           "large for the relaxation tolerance)");
       }

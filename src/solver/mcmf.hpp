@@ -11,6 +11,12 @@
 // DAGs, which trivially satisfies this; successive-shortest-path invariants
 // keep the residual graph cycle-free in cost). Each augmentation runs SPFA,
 // which handles the real-valued, possibly negative arc costs exactly.
+//
+// Storage is flat: arcs live in one interleaved forward/reverse array and
+// the per-node adjacency is a CSR index (first_/adj_) built on the first
+// solve() after the topology changes. clear() and reserve() keep every
+// buffer's capacity, so a network rebuilt at the same or a smaller size
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +28,12 @@ class MinCostFlow {
  public:
   /// Creates a network with `num_nodes` nodes (indices 0..num_nodes-1).
   explicit MinCostFlow(std::size_t num_nodes);
+
+  /// Drops every arc and leaves `num_nodes` nodes; keeps all capacity.
+  void clear(std::size_t num_nodes);
+
+  /// Pre-sizes the buffers for `nodes` nodes and `arcs` arcs.
+  void reserve(std::size_t nodes, std::size_t arcs);
 
   /// Adds one more node; returns its index.
   std::size_t add_node();
@@ -49,7 +61,7 @@ class MinCostFlow {
   /// Flow currently routed on the arc with the given id.
   std::int64_t flow_on(std::size_t arc_id) const;
 
-  std::size_t num_nodes() const { return graph_.size(); }
+  std::size_t num_nodes() const { return num_nodes_; }
   std::size_t num_arcs() const { return arcs_.size() / 2; }
 
   /// Resets all flows to zero (keeps the network).
@@ -70,11 +82,18 @@ class MinCostFlow {
     std::size_t reverse;  // index of the reverse arc in arcs_
   };
 
+  void build_adjacency();
   bool shortest_path(std::size_t source);
 
-  std::vector<Arc> arcs_;                     // forward/backward interleaved
-  std::vector<std::vector<std::size_t>> graph_;  // node -> arc indices
+  std::size_t num_nodes_ = 0;
+  std::vector<Arc> arcs_;  // forward/backward interleaved (arc id a: 2a, 2a+1)
   std::vector<std::int64_t> original_capacity_;  // per public arc id
+  // CSR adjacency: node v's residual arcs are adj_[first_[v], first_[v+1]),
+  // in insertion order. Stale (adjacency_valid_ == false) after any topology
+  // change until the next solve() rebuilds it.
+  std::vector<std::size_t> first_;
+  std::vector<std::size_t> adj_;
+  bool adjacency_valid_ = false;
 
   // SPFA scratch, reused across augmentations and solve() calls so the
   // inner loop stays allocation-free once the buffers reach network size.

@@ -222,6 +222,7 @@ void ThreadPool::reset_global_after_fork() {
   // Leak on purpose: the pool's threads died with the fork and joining them
   // would hang. The child is expected to _exit(), so the leak is invisible.
   (void)g_global_pool.release();
+  g_global_pool = std::make_unique<ThreadPool>(1);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

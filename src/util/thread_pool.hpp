@@ -61,12 +61,15 @@ class ThreadPool {
   /// tests only; callers must ensure no batch is in flight.
   static void set_global_threads(std::size_t threads);
 
-  /// Forgets the global pool WITHOUT joining it. Only meaningful in the
+  /// Replaces the global pool WITHOUT joining it. Only meaningful in the
   /// child of a fork(): the parent's worker threads do not exist there, so
   /// joining (as set_global_threads would) blocks forever. The stale State
-  /// is deliberately leaked; the next global() builds a fresh pool with
-  /// configured_threads(). The child must leave via _exit() so the leak
-  /// never reaches a destructor or LeakSanitizer.
+  /// is deliberately leaked and a 1-thread pool is installed: it runs every
+  /// batch inline and starts no thread, because a child of a multi-threaded
+  /// process must not start threads (ThreadSanitizer aborts on it). Results
+  /// are bit-identical at any thread count, so the child computes what the
+  /// parent would. The child must leave via _exit() so the leak never
+  /// reaches a destructor or LeakSanitizer.
   static void reset_global_after_fork();
 
  private:

@@ -539,7 +539,7 @@ TEST(Checkpoint, SurvivesAbruptProcessDeath) {
     // destructors, flushes, and atexit handlers never run, exactly like a
     // crash. The checkpoint on disk must still be complete and valid.
     // The parent's pool workers do not exist here (and one may have held
-    // the pool mutex at fork time), so start from a fresh pool.
+    // the pool mutex at fork time), so start from a fresh inline pool.
     util::ThreadPool::reset_global_after_fork();
     auto crash_options = options;
     crash_options.halt_after_slot = 7;

@@ -79,6 +79,56 @@ TEST(CachingFlowWorkspace, RepricingMatchesFreshSolve) {
   }
 }
 
+TEST(CachingFlowWorkspace, RebindAcrossShapesMatchesFresh) {
+  // One workspace rebound through problems whose catalogue K grows and then
+  // shrinks, whose window w changes, and whose capacity, beta and initial
+  // cache change: every solve must be bitwise the solve of a fresh network.
+  struct Shape {
+    std::size_t contents, horizon, capacity;
+    double beta;
+  };
+  const Shape shapes[] = {{3, 2, 1, 1.0},  {6, 4, 2, 0.5}, {10, 3, 3, 2.0},
+                          {12, 5, 4, 0.0}, {7, 6, 2, 3.0}, {4, 2, 4, 1.5},
+                          {2, 1, 1, 0.25}, {9, 4, 3, 1.0}};
+  core::CachingFlowWorkspace workspace;
+  Rng rng(11);
+  std::vector<std::uint8_t> x;
+  std::size_t index = 0;
+  for (const Shape& shape : shapes) {
+    core::CachingSubproblem problem;
+    problem.num_contents = shape.contents;
+    problem.horizon = shape.horizon;
+    problem.capacity = shape.capacity;
+    problem.beta = shape.beta;
+    problem.initial.assign(shape.contents, 0);
+    for (std::size_t k = 0, cached = 0; k < shape.contents; ++k) {
+      if (cached < shape.capacity && rng.bernoulli(0.5)) {
+        problem.initial[k] = 1;
+        ++cached;
+      }
+    }
+    problem.rewards.resize(shape.contents * shape.horizon);
+    workspace.bind(problem);
+    for (int round = 0; round < 2; ++round) {
+      for (auto& reward : problem.rewards) reward = rng.uniform(0.0, 3.0);
+      const double objective = workspace.solve_into(problem, x);
+      const auto fresh = core::solve_caching_flow(problem);
+      EXPECT_EQ(x, fresh.x) << "shape " << index << " round " << round;
+      EXPECT_EQ(objective, fresh.objective)
+          << "shape " << index << " round " << round;
+    }
+    ++index;
+  }
+  workspace.unbind();
+  EXPECT_FALSE(workspace.bound());
+  core::CachingSubproblem last;
+  last.num_contents = 1;
+  last.horizon = 1;
+  last.initial = {0};
+  last.rewards = {1.0};
+  EXPECT_THROW(workspace.solve_into(last, x), InvalidArgument);
+}
+
 TEST(CachingFlowWorkspace, RequiresBindAndMatchingShape) {
   core::CachingSubproblem problem;
   problem.num_contents = 3;

@@ -1,6 +1,8 @@
 // Unit tests for the min-cost-flow solver.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "solver/mcmf.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -107,6 +109,83 @@ TEST(Mcmf, AddNodeGrowsGraph) {
   EXPECT_EQ(net.num_nodes(), 2u);
   net.add_arc(0, node, 1, 1.0);
   EXPECT_EQ(net.num_arcs(), 1u);
+}
+
+TEST(Mcmf, EqualCostTiesGoToTheFirstInsertedArc) {
+  // Node 0's two parallel arcs are interleaved with arcs of other tails, so
+  // the adjacency must list each node's arcs in insertion order (a stable
+  // sort by tail) for the tie to resolve the same way on every build.
+  MinCostFlow net(3);
+  net.add_arc(1, 2, 1, 0.0);
+  const auto first = net.add_arc(0, 1, 1, 1.0);
+  net.add_arc(2, 1, 1, 0.0);
+  const auto second = net.add_arc(0, 1, 1, 1.0);
+  const auto result = net.solve(0, 2, 1);
+  EXPECT_EQ(result.flow, 1);
+  EXPECT_EQ(net.flow_on(first), 1);
+  EXPECT_EQ(net.flow_on(second), 0);
+}
+
+TEST(Mcmf, TopologyChangeAfterSolveIsSeen) {
+  MinCostFlow net(2);
+  net.add_arc(0, 1, 1, 5.0);
+  EXPECT_EQ(net.solve(0, 1, 1).cost, 5.0);
+  net.reset_flow();
+  const auto mid = net.add_node();
+  const auto in = net.add_arc(0, mid, 1, 1.0);
+  net.add_arc(mid, 1, 1, 1.0);
+  EXPECT_EQ(net.solve(0, 1, 1).cost, 2.0);
+  EXPECT_EQ(net.flow_on(in), 1);
+}
+
+/// Random DAG on `nodes` nodes with small integral costs and parallel
+/// twins, so many shortest paths tie and the adjacency order decides them.
+std::vector<std::size_t> add_random_dag(MinCostFlow& net, std::size_t nodes,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> ids;
+  for (std::size_t from = 0; from < nodes; ++from) {
+    for (std::size_t to = from + 1; to < nodes; ++to) {
+      if (!rng.bernoulli(0.6)) continue;
+      const auto cap = rng.uniform_int(1, 3);
+      const auto cost = static_cast<double>(rng.uniform_int(-1, 4));
+      ids.push_back(net.add_arc(from, to, cap, cost));
+      if (rng.bernoulli(0.3)) ids.push_back(net.add_arc(from, to, cap, cost));
+    }
+  }
+  return ids;
+}
+
+TEST(Mcmf, NetworkRebuiltAfterClearSolvesLikeFresh) {
+  // One network cleared and rebuilt through growing and shrinking sizes
+  // must match a freshly constructed network bit for bit: flow, cost and
+  // the flow on every arc.
+  MinCostFlow reused(4);
+  reused.add_arc(0, 3, 2, 1.0);
+  reused.solve(0, 3, 2);
+  std::uint64_t seed = 1;
+  for (const std::size_t nodes : {9u, 5u, 12u, 3u, 12u}) {
+    for (int rep = 0; rep < 3; ++rep, ++seed) {
+      reused.clear(nodes);
+      if (rep != 1) reused.reserve(nodes, nodes * nodes);
+      const auto ids = add_random_dag(reused, nodes, seed);
+      MinCostFlow fresh(nodes);
+      add_random_dag(fresh, nodes, seed);
+      EXPECT_EQ(reused.num_nodes(), nodes);
+      EXPECT_EQ(reused.num_arcs(), ids.size());
+      const auto got = reused.solve(0, nodes - 1, 5);
+      const auto want = fresh.solve(0, nodes - 1, 5);
+      EXPECT_EQ(got.flow, want.flow) << "seed " << seed;
+      EXPECT_EQ(got.cost, want.cost) << "seed " << seed;
+      for (const auto id : ids) {
+        EXPECT_EQ(reused.flow_on(id), fresh.flow_on(id)) << "seed " << seed;
+      }
+    }
+  }
+  reused.clear(2);
+  EXPECT_EQ(reused.num_arcs(), 0u);
+  EXPECT_THROW(reused.add_arc(0, 2, 1, 0.0), InvalidArgument);
+  EXPECT_THROW(reused.flow_on(0), InvalidArgument);
 }
 
 /// Property: flow conservation holds at every intermediate node and the

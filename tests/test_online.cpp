@@ -127,19 +127,19 @@ TEST(Rhc, FullWindowPerfectPredictionNearOffline) {
 // -------------------------------------------------------------- FHC / CHC ----
 
 TEST(Fhc, ValidatesParameters) {
-  core::PrimalDualOptions options;
-  EXPECT_THROW(FhcPlanner(0, 0, 1, options), InvalidArgument);
-  EXPECT_THROW(FhcPlanner(0, 2, 3, options), InvalidArgument);  // r > w
-  EXPECT_THROW(FhcPlanner(3, 4, 2, options), InvalidArgument);  // v >= r
+  EXPECT_THROW(FhcPlanner(0, 0, 1), InvalidArgument);
+  EXPECT_THROW(FhcPlanner(0, 2, 3), InvalidArgument);  // r > w
+  EXPECT_THROW(FhcPlanner(3, 4, 2), InvalidArgument);  // v >= r
 }
 
 TEST(Fhc, ActionsCoverEverySlot) {
   const auto instance = small_instance();
   const workload::PerfectPredictor predictor(instance.demand);
-  FhcPlanner planner(1, 3, 2, {});
+  FhcPlanner planner(1, 3, 2);
+  core::PrimalDualSolver solver;
   planner.reset(instance);
   for (std::size_t t = 0; t < instance.horizon(); ++t) {
-    const auto& action = planner.action(t, predictor);
+    const auto& action = planner.action(t, solver, predictor);
     for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
       EXPECT_LE(action.cache.count(n),
                 instance.config.sbs[n].cache_capacity);
@@ -177,15 +177,16 @@ TEST(Fhc, PreHorizonPlansNeverQueryThePredictor) {
   const auto instance = small_instance();
   const workload::PerfectPredictor truth(instance.demand);
   RecordingPredictor recording(truth);
-  FhcPlanner planner(1, 3, 2, {});
+  FhcPlanner planner(1, 3, 2);
+  core::PrimalDualSolver solver;
   planner.reset(instance);
 
-  planner.action(0, recording);  // tau = -1: zero-demand window only
+  planner.action(0, solver, recording);  // tau = -1: zero-demand window only
   EXPECT_TRUE(recording.queries().empty())
       << "pre-horizon plan consulted the predictor";
 
   recording.clear();
-  planner.action(1, recording);  // tau = 1: genuine queries, all at time 1
+  planner.action(1, solver, recording);  // tau = 1: genuine queries, at time 1
   EXPECT_FALSE(recording.queries().empty());
   for (const auto& [tau, t] : recording.queries()) {
     EXPECT_EQ(tau, 1u);
@@ -202,16 +203,17 @@ TEST(Fhc, ResyncReplansFromExecutedState) {
   instance.config.sbs[0].replacement_beta = 1e6;
   const workload::PerfectPredictor predictor(instance.demand);
 
-  FhcPlanner planner(0, 3, 1, {});
+  FhcPlanner planner(0, 3, 1);
+  core::PrimalDualSolver solver;
   planner.reset(instance);
-  const auto& untouched = planner.action(0, predictor);
+  const auto& untouched = planner.action(0, solver, predictor);
   EXPECT_EQ(untouched.cache.count(0), 0u) << "beta=1e6 should deter caching";
 
   model::CacheState executed(instance.config);
   const std::size_t capacity = instance.config.sbs[0].cache_capacity;
   for (std::size_t k = 0; k < capacity; ++k) executed.set(0, k, true);
   planner.resync(0, executed);
-  const auto& resynced = planner.action(1, predictor);
+  const auto& resynced = planner.action(1, solver, predictor);
   EXPECT_GT(resynced.cache.count(0), 0u)
       << "planner ignored the executed state handed to resync()";
 }

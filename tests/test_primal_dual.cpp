@@ -157,66 +157,125 @@ struct StatelessCase {
 
 void PrintTo(const StatelessCase& leg, std::ostream* os) { *os << leg.name; }
 
-class StatelessSolve : public ::testing::TestWithParam<StatelessCase> {};
+class StatelessSolve : public ::testing::TestWithParam<StatelessCase> {
+ protected:
+  /// Two-SBS instance in the leg's representation and P2 regime.
+  static model::ProblemInstance instance_for(const StatelessCase& leg) {
+    workload::PaperScenario scenario;
+    scenario.seed = 31;
+    scenario.num_sbs = 2;
+    scenario.num_contents = 8;
+    scenario.classes_per_sbs = 2;
+    scenario.horizon = 7;
+    scenario.cache_capacity = 2;
+    scenario.bandwidth = 3.0;
+    scenario.beta = 2.0;
+    scenario.omega_sbs_factor = leg.omega_sbs_factor;
+    return leg.sparse ? scenario.build_sparse() : scenario.build();
+  }
+
+  /// Points `problem` at the perfectly predicted window [tau, tau + w),
+  /// stored in `dense` or `sparse` by the leg's representation.
+  static void predict_window(const StatelessCase& leg,
+                             const model::ProblemInstance& instance,
+                             std::size_t tau, std::size_t w,
+                             model::DemandTrace& dense,
+                             model::SparseDemandTrace& sparse,
+                             HorizonProblem& problem) {
+    problem.config = &instance.config;
+    if (leg.sparse) {
+      sparse = workload::PerfectPredictor(instance.sparse_demand)
+                   .predict_window_sparse(tau, w);
+      problem.sparse_demand = &sparse;
+    } else {
+      dense = workload::PerfectPredictor(instance.demand)
+                  .predict_window(tau, w);
+      problem.demand = &dense;
+    }
+  }
+
+  static void expect_bitwise_equal(const HorizonSolution& got,
+                                   const HorizonSolution& want,
+                                   const model::NetworkConfig& config) {
+    EXPECT_EQ(got.upper_bound, want.upper_bound);
+    EXPECT_EQ(got.lower_bound, want.lower_bound);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.mu, want.mu);
+    ASSERT_EQ(got.schedule.size(), want.schedule.size());
+    for (std::size_t t = 0; t < want.schedule.size(); ++t) {
+      EXPECT_TRUE(got.schedule[t].cache == want.schedule[t].cache) << t;
+      for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+        EXPECT_EQ(got.schedule[t].load.sbs_data(n),
+                  want.schedule[t].load.sbs_data(n))
+            << "slot " << t << " sbs " << n;
+      }
+    }
+  }
+};
 
 /// A solve is a pure function of its problem: window B solved on a solver
 /// that first solved a different, longer window A must be bitwise the
 /// solve of B on a fresh solver — schedule, bounds, iterations and mu.
 TEST_P(StatelessSolve, EarlierWindowLeavesNoTrace) {
   const StatelessCase& leg = GetParam();
-  workload::PaperScenario scenario;
-  scenario.seed = 31;
-  scenario.num_sbs = 2;
-  scenario.num_contents = 8;
-  scenario.classes_per_sbs = 2;
-  scenario.horizon = 7;
-  scenario.cache_capacity = 2;
-  scenario.bandwidth = 3.0;
-  scenario.beta = 2.0;
-  scenario.omega_sbs_factor = leg.omega_sbs_factor;
-  const auto instance =
-      leg.sparse ? scenario.build_sparse() : scenario.build();
-
+  const auto instance = instance_for(leg);
   model::DemandTrace dense_a, dense_b;
   model::SparseDemandTrace sparse_a, sparse_b;
   HorizonProblem a, b;
-  a.config = b.config = &instance.config;
-  if (leg.sparse) {
-    const workload::PerfectPredictor predictor(instance.sparse_demand);
-    sparse_a = predictor.predict_window_sparse(0, 4);
-    sparse_b = predictor.predict_window_sparse(1, 3);
-    a.sparse_demand = &sparse_a;
-    b.sparse_demand = &sparse_b;
-  } else {
-    const workload::PerfectPredictor predictor(instance.demand);
-    dense_a = predictor.predict_window(0, 4);
-    dense_b = predictor.predict_window(1, 3);
-    a.demand = &dense_a;
-    b.demand = &dense_b;
-  }
+  predict_window(leg, instance, 0, 4, dense_a, sparse_a, a);
+  predict_window(leg, instance, 1, 3, dense_b, sparse_b, b);
   a.initial_cache = instance.initial_cache;
 
   PrimalDualSolver used;
   const HorizonSolution first = used.solve(a);
   // B starts where A's plan leaves the cache, as the next RHC window does.
   b.initial_cache = first.schedule.front().cache;
-  const HorizonSolution got = used.solve(b);
-  const HorizonSolution want = PrimalDualSolver().solve(b);
+  expect_bitwise_equal(used.solve(b), PrimalDualSolver().solve(b),
+                       instance.config);
+}
 
-  EXPECT_EQ(got.upper_bound, want.upper_bound);
-  EXPECT_EQ(got.lower_bound, want.lower_bound);
-  EXPECT_EQ(got.iterations, want.iterations);
-  EXPECT_EQ(got.status, want.status);
-  EXPECT_EQ(got.mu, want.mu);
-  ASSERT_EQ(got.schedule.size(), want.schedule.size());
-  for (std::size_t t = 0; t < want.schedule.size(); ++t) {
-    EXPECT_TRUE(got.schedule[t].cache == want.schedule[t].cache) << t;
-    for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
-      EXPECT_EQ(got.schedule[t].load.sbs_data(n),
-                want.schedule[t].load.sbs_data(n))
-          << "slot " << t << " sbs " << n;
+/// The solver keeps its per-SBS P1 networks across solves. Window C gives
+/// SBS 1 no demand and an empty cache, so in sparse mode its P1 content
+/// union is empty; the network SBS 1 kept from window A must not leak into
+/// C, and it must be rebuilt cleanly when window A comes back.
+TEST_P(StatelessSolve, EmptyP1UnionAfterNonEmptyWindow) {
+  const StatelessCase& leg = GetParam();
+  const auto instance = instance_for(leg);
+  const auto& config = instance.config;
+  model::DemandTrace dense_a, dense_c;
+  model::SparseDemandTrace sparse_a, sparse_c;
+  HorizonProblem a, c;
+  predict_window(leg, instance, 0, 4, dense_a, sparse_a, a);
+  predict_window(leg, instance, 1, 3, dense_c, sparse_c, c);
+  a.initial_cache = instance.initial_cache;
+  const model::SparseSlotDemand zero_sparse =
+      model::make_zero_sparse_slot_demand(config);
+  const model::SlotDemand zero_dense = model::make_zero_slot_demand(config);
+  for (std::size_t t = 0; t < c.horizon(); ++t) {
+    if (leg.sparse) {
+      sparse_c.slot(t)[1] = zero_sparse[1];
+    } else {
+      dense_c.slot(t)[1] = zero_dense[1];
     }
   }
+
+  PrimalDualSolver used;
+  const HorizonSolution first = used.solve(a);
+  c.initial_cache = first.schedule.front().cache;
+  for (std::size_t k = 0; k < config.num_contents; ++k) {
+    c.initial_cache.set(1, k, false);
+  }
+  if (leg.sparse) {
+    ASSERT_FALSE(build_active_sets(config, sparse_a, a.initial_cache)
+                     .p1_list[1]
+                     .empty());
+    ASSERT_TRUE(build_active_sets(config, sparse_c, c.initial_cache)
+                    .p1_list[1]
+                    .empty());
+  }
+  expect_bitwise_equal(used.solve(c), PrimalDualSolver().solve(c), config);
+  expect_bitwise_equal(used.solve(a), PrimalDualSolver().solve(a), config);
 }
 
 // The "primal_dual" prefix keeps these in the TSan CI leg's -R filter.
