@@ -307,8 +307,9 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // exactly its active coordinates (sparse mode — the off-active entries
   // are structurally zero and never touched), so the buffer needs no
   // re-zeroing between iterations. An improved upper bound swaps the buffer
-  // into `best` and rebuilds lazily: two allocations per solve instead of
-  // one w * N * M * K zero-fill per iteration.
+  // into `best`; the next iteration builds a replacement only if it runs,
+  // so a solve that stops after one iteration allocates one w * N * M * K
+  // schedule, and any solve at most two.
   auto make_schedule = [&]() {
     model::Schedule schedule(w);
     for (std::size_t t = 0; t < w; ++t) {
@@ -317,7 +318,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     }
     return schedule;
   };
-  model::Schedule schedule = make_schedule();
+  model::Schedule schedule;
 
   const solver::DiminishingStep step(options_.step_alpha);
   bool deadline_expired = false;
@@ -344,13 +345,13 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     best.lower_bound = std::max(best.lower_bound, dual_value);
 
     // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
+    if (schedule.size() != w) schedule = make_schedule();
     core.repair(schedule);
     const model::CostBreakdown cost = model::schedule_cost(
         config, problem.demand_view(), schedule, problem.initial_cache);
     if (cost.total() < best.upper_bound) {
       best.upper_bound = cost.total();
       std::swap(best.schedule, schedule);
-      if (schedule.size() != w) schedule = make_schedule();
     }
 
     best.iterations = iteration + 1;

@@ -1,6 +1,7 @@
 #include "model/feasibility.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -28,12 +29,11 @@ std::size_t link_index(const std::vector<NeighborLink>& row,
   return row.size();
 }
 
-/// Neighbor-tier violations for receiver SBS n. `rate` maps (m, k) to the
-/// demand rate; invoked only on coordinates with y_neigh > tol.
-template <typename RateFn>
+/// Neighbor-tier violations for receiver SBS n; the demand rate is read
+/// only on coordinates with y_neigh > tol.
 void check_neighbor_tier(const NetworkConfig& config,
                          const SlotDecision& decision, std::size_t n,
-                         double tol, RateFn&& rate,
+                         double tol, SbsDemandView demand,
                          std::vector<Violation>& out) {
   const auto& sbs = config.sbs[n];
   const std::vector<NeighborLink>* row =
@@ -65,7 +65,7 @@ void check_neighbor_tier(const NetworkConfig& config,
              << " but no positive-bandwidth neighbor caches it";
           out.push_back({os.str()});
         } else {
-          link_load[link_index(*row, src)] += rate(m, k) * z;
+          link_load[link_index(*row, src)] += demand.at(m, k) * z;
         }
       }
     }
@@ -83,10 +83,9 @@ void check_neighbor_tier(const NetworkConfig& config,
 
 /// Neighbor-tier repair for receiver SBS n: clamp, zero unavailable
 /// coordinates, trim y_local + y_neigh to 1, then scale each link down to
-/// its cap. `rate` maps (m, k) to the demand rate.
-template <typename RateFn>
+/// its cap.
 void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
-                          std::size_t n, RateFn&& rate) {
+                          std::size_t n, SbsDemandView demand) {
   const auto& sbs = config.sbs[n];
   const std::vector<NeighborLink>* row =
       config.topology.links.empty() ? nullptr : &config.topology.links[n];
@@ -103,7 +102,7 @@ void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
       }
       const double y = decision.load.at(n, m, k);
       if (y + z > 1.0) z = 1.0 - y;
-      link_load[link_index(*row, src)] += rate(m, k) * z;
+      link_load[link_index(*row, src)] += demand.at(m, k) * z;
     }
   }
   // Per-link proportional scale-down, mirroring the (2) repair.
@@ -127,62 +126,69 @@ void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
   }
 }
 
+/// The flat walks below index SBS n's y bank and cache bitmap with the
+/// config's shape.
+void require_config_shape(const NetworkConfig& config,
+                          const SlotDecision& decision, std::size_t n) {
+  MDO_REQUIRE(decision.cache.sbs_bitmap(n).size() == config.num_contents &&
+                  decision.load.num_contents() == config.num_contents &&
+                  decision.load.num_classes(n) ==
+                      config.sbs[n].num_classes(),
+              "decision shape does not match the network config");
+}
+
+/// (11) then (3) at SBS n in one walk of the flat bank and the bitmap:
+/// clamps y into [0, 1], then zeroes it where the content is not cached.
+void clamp_to_cache(const NetworkConfig& config, SlotDecision& decision,
+                    std::size_t n) {
+  require_config_shape(config, decision, n);
+  const std::size_t contents = config.num_contents;
+  const std::uint8_t* x = decision.cache.sbs_bitmap(n).data();
+  double* y = decision.load.sbs_data(n).data();
+  for (std::size_t m = 0; m < config.sbs[n].num_classes(); ++m) {
+    double* row = y + m * contents;
+    for (std::size_t k = 0; k < contents; ++k) {
+      double v = std::clamp(row[k], 0.0, 1.0);
+      if (x[k] == 0) v = 0.0;
+      row[k] = v;
+    }
+  }
+}
+
+/// (11) and (3) violations at SBS n, in (class, content) order.
+void check_local_tier(const NetworkConfig& config,
+                      const SlotDecision& decision, std::size_t n,
+                      double tol, std::vector<Violation>& out) {
+  require_config_shape(config, decision, n);
+  const std::size_t contents = config.num_contents;
+  const std::uint8_t* x = decision.cache.sbs_bitmap(n).data();
+  const double* y = decision.load.sbs_data(n).data();
+  for (std::size_t m = 0; m < config.sbs[n].num_classes(); ++m) {
+    const double* row = y + m * contents;
+    for (std::size_t k = 0; k < contents; ++k) {
+      if (row[k] < -tol || row[k] > 1.0 + tol) {
+        std::ostringstream os;
+        os << "SBS " << n << " class " << m << " content " << k << ": y="
+           << row[k] << " outside [0,1]";
+        out.push_back({os.str()});
+      }
+      if (row[k] > tol && x[k] == 0) {
+        std::ostringstream os;
+        os << "SBS " << n << " class " << m << " content " << k << ": y="
+           << row[k] << " but content not cached";
+        out.push_back({os.str()});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Violation> check_feasibility(const NetworkConfig& config,
                                          const SlotDemand& demand,
                                          const SlotDecision& decision,
                                          double tol) {
-  std::vector<Violation> out;
-  auto report = [&out](const std::string& text) { out.push_back({text}); };
-
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    // (1) cache capacity
-    const std::size_t cached = decision.cache.count(n);
-    if (cached > sbs.cache_capacity) {
-      std::ostringstream os;
-      os << "SBS " << n << ": " << cached << " items cached, capacity "
-         << sbs.cache_capacity;
-      report(os.str());
-    }
-    // (2) bandwidth
-    const double load = decision.load.sbs_load(n, demand[n]);
-    if (load > sbs.bandwidth + tol) {
-      std::ostringstream os;
-      os << "SBS " << n << ": load " << load << " exceeds bandwidth "
-         << sbs.bandwidth;
-      report(os.str());
-    }
-    // (3) y <= x and (11) bounds
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        const double y = decision.load.at(n, m, k);
-        if (y < -tol || y > 1.0 + tol) {
-          std::ostringstream os;
-          os << "SBS " << n << " class " << m << " content " << k << ": y="
-             << y << " outside [0,1]";
-          report(os.str());
-        }
-        if (y > tol && !decision.cache.cached(n, k)) {
-          std::ostringstream os;
-          os << "SBS " << n << " class " << m << " content " << k << ": y="
-             << y << " but content not cached";
-          report(os.str());
-        }
-      }
-    }
-    if (decision.load.has_neighbor()) {
-      const double* d = demand[n].data().data();
-      check_neighbor_tier(
-          config, decision, n, tol,
-          [&](std::size_t m, std::size_t k) {
-            return d[m * config.num_contents + k];
-          },
-          out);
-    }
-  }
-  return out;
+  return check_feasibility(config, SlotDemandView(demand), decision, tol);
 }
 
 bool is_feasible(const NetworkConfig& config, const SlotDemand& demand,
@@ -192,30 +198,7 @@ bool is_feasible(const NetworkConfig& config, const SlotDemand& demand,
 
 void enforce_feasibility(const NetworkConfig& config, const SlotDemand& demand,
                          SlotDecision& decision) {
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    MDO_REQUIRE(decision.cache.count(n) <= sbs.cache_capacity,
-                "cache capacity violated; controllers must respect (1)");
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        double& y = decision.load.at(n, m, k);
-        y = std::clamp(y, 0.0, 1.0);
-        if (!decision.cache.cached(n, k)) y = 0.0;
-      }
-    }
-    const double load = decision.load.sbs_load(n, demand[n]);
-    if (load > sbs.bandwidth && load > 0.0) {
-      const double scale = sbs.bandwidth / load;
-      for (double& y : decision.load.sbs_data(n)) y *= scale;
-    }
-    if (decision.load.has_neighbor()) {
-      const double* d = demand[n].data().data();
-      repair_neighbor_tier(config, decision, n,
-                           [&](std::size_t m, std::size_t k) {
-                             return d[m * config.num_contents + k];
-                           });
-    }
-  }
+  enforce_feasibility(config, SlotDemandView(demand), decision);
 }
 
 std::vector<Violation> check_feasibility(const NetworkConfig& config,
@@ -223,57 +206,30 @@ std::vector<Violation> check_feasibility(const NetworkConfig& config,
                                          const SlotDecision& decision,
                                          double tol) {
   MDO_REQUIRE(demand.valid(), "check_feasibility: empty demand view");
-  if (!demand.is_sparse()) {
-    return check_feasibility(config, *demand.dense(), decision, tol);
-  }
   std::vector<Violation> out;
-  auto report = [&out](const std::string& text) { out.push_back({text}); };
-
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const auto& sbs = config.sbs[n];
+    const SbsDemandView sbs_demand = demand.sbs(n);
+    // (1) cache capacity
     const std::size_t cached = decision.cache.count(n);
     if (cached > sbs.cache_capacity) {
       std::ostringstream os;
       os << "SBS " << n << ": " << cached << " items cached, capacity "
          << sbs.cache_capacity;
-      report(os.str());
+      out.push_back({os.str()});
     }
-    const double load = sbs_load(decision.load, n, demand.sbs(n));
+    // (2) bandwidth
+    const double load = sbs_load(decision.load, n, sbs_demand);
     if (load > sbs.bandwidth + tol) {
       std::ostringstream os;
       os << "SBS " << n << ": load " << load << " exceeds bandwidth "
          << sbs.bandwidth;
-      report(os.str());
+      out.push_back({os.str()});
     }
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        const double y = decision.load.at(n, m, k);
-        if (y < -tol || y > 1.0 + tol) {
-          std::ostringstream os;
-          os << "SBS " << n << " class " << m << " content " << k << ": y="
-             << y << " outside [0,1]";
-          report(os.str());
-        }
-        if (y > tol && !decision.cache.cached(n, k)) {
-          std::ostringstream os;
-          os << "SBS " << n << " class " << m << " content " << k << ": y="
-             << y << " but content not cached";
-          report(os.str());
-        }
-      }
-    }
+    // (3) y <= x and (11) bounds
+    check_local_tier(config, decision, n, tol, out);
     if (decision.load.has_neighbor()) {
-      const SparseSbsDemand& d = (*demand.sparse())[n];
-      check_neighbor_tier(
-          config, decision, n, tol,
-          [&](std::size_t m, std::size_t k) -> double {
-            for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m);
-                 ++it) {
-              if (it->content == k) return it->rate;
-            }
-            return 0.0;
-          },
-          out);
+      check_neighbor_tier(config, decision, n, tol, sbs_demand, out);
     }
   }
   return out;
@@ -287,36 +243,19 @@ bool is_feasible(const NetworkConfig& config, SlotDemandView demand,
 void enforce_feasibility(const NetworkConfig& config, SlotDemandView demand,
                          SlotDecision& decision) {
   MDO_REQUIRE(demand.valid(), "enforce_feasibility: empty demand view");
-  if (!demand.is_sparse()) {
-    enforce_feasibility(config, *demand.dense(), decision);
-    return;
-  }
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const auto& sbs = config.sbs[n];
+    const SbsDemandView sbs_demand = demand.sbs(n);
     MDO_REQUIRE(decision.cache.count(n) <= sbs.cache_capacity,
                 "cache capacity violated; controllers must respect (1)");
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        double& y = decision.load.at(n, m, k);
-        y = std::clamp(y, 0.0, 1.0);
-        if (!decision.cache.cached(n, k)) y = 0.0;
-      }
-    }
-    const double load = sbs_load(decision.load, n, demand.sbs(n));
+    clamp_to_cache(config, decision, n);
+    const double load = sbs_load(decision.load, n, sbs_demand);
     if (load > sbs.bandwidth && load > 0.0) {
       const double scale = sbs.bandwidth / load;
       for (double& y : decision.load.sbs_data(n)) y *= scale;
     }
     if (decision.load.has_neighbor()) {
-      const SparseSbsDemand& d = (*demand.sparse())[n];
-      repair_neighbor_tier(config, decision, n,
-                           [&](std::size_t m, std::size_t k) -> double {
-                             for (const DemandEntry* it = d.row_begin(m);
-                                  it != d.row_end(m); ++it) {
-                               if (it->content == k) return it->rate;
-                             }
-                             return 0.0;
-                           });
+      repair_neighbor_tier(config, decision, n, sbs_demand);
     }
   }
 }

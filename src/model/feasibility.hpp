@@ -60,9 +60,10 @@ bool is_feasible(const NetworkConfig& config, const SlotDemand& demand,
 void enforce_feasibility(const NetworkConfig& config, const SlotDemand& demand,
                          SlotDecision& decision);
 
-/// Representation-agnostic overloads; dense views delegate to the
-/// functions above, sparse views evaluate the bandwidth load over stored
-/// entries only (bit-identical, the skipped terms are exact zeros).
+/// Representation-agnostic overloads, which the dense ones above call.
+/// Each walks an SBS's flat y bank and cache bitmap once; sparse views
+/// evaluate the bandwidth load over stored entries only (bit-identical,
+/// the skipped terms are exact zeros).
 std::vector<Violation> check_feasibility(const NetworkConfig& config,
                                          SlotDemandView demand,
                                          const SlotDecision& decision,

@@ -40,18 +40,23 @@ void SparseSbsDemand::finalize() {
   std::sort(support_.begin(), support_.end());
   support_.erase(std::unique(support_.begin(), support_.end()),
                  support_.end());
+  rebuild_support_totals();
+  finalized_ = true;
+}
+
+void SparseSbsDemand::rebuild_support_totals() {
   // Column totals accumulate per content in ascending class order, matching
-  // SbsDemand::content_total's loop exactly.
+  // SbsDemand::content_total's loop exactly. A row and the support are both
+  // sorted by content, so one forward walk per row finds each entry's
+  // support slot.
   support_totals_.assign(support_.size(), 0.0);
   for (std::size_t m = 0; m < num_classes_; ++m) {
-    for (const DemandEntry* it = row_begin(m); it != row_end(m); ++it) {
-      const auto pos = std::lower_bound(support_.begin(), support_.end(),
-                                        it->content) -
-                       support_.begin();
-      support_totals_[static_cast<std::size_t>(pos)] += it->rate;
+    std::size_t pos = 0;
+    for (std::size_t e = row_ptr_[m]; e < row_ptr_[m + 1]; ++e) {
+      while (support_[pos] < entries_[e].content) ++pos;
+      support_totals_[pos] += entries_[e].rate;
     }
   }
-  finalized_ = true;
 }
 
 const DemandEntry* SparseSbsDemand::row_begin(std::size_t m) const {
@@ -100,17 +105,7 @@ void SparseSbsDemand::scale_by_content(const std::vector<double>& factor) {
   MDO_REQUIRE(factor.size() == num_contents_,
               "SparseSbsDemand: factor size mismatch");
   for (DemandEntry& entry : entries_) entry.rate *= factor[entry.content];
-  // Rebuild the column totals with the same ascending-class accumulation as
-  // finalize(), so they match the dense content_total over the scaled matrix.
-  support_totals_.assign(support_.size(), 0.0);
-  for (std::size_t m = 0; m < num_classes_; ++m) {
-    for (const DemandEntry* it = row_begin(m); it != row_end(m); ++it) {
-      const auto pos = std::lower_bound(support_.begin(), support_.end(),
-                                        it->content) -
-                       support_.begin();
-      support_totals_[static_cast<std::size_t>(pos)] += it->rate;
-    }
-  }
+  rebuild_support_totals();
 }
 
 SparseSbsDemand SparseSbsDemand::from_dense(const SbsDemand& dense,

@@ -81,9 +81,10 @@ class SparseSbsDemand {
   const std::vector<std::size_t>& support() const;
 
   /// Multiplies every stored rate by factor[content] and rebuilds the
-  /// cached totals (the noisy predictor's per-content perturbation). The
-  /// structure (rows, support) is unchanged; factor must have size
-  /// num_contents(). Each scaled rate is the same product the dense code
+  /// cached totals (the noisy predictor's per-content perturbation) in
+  /// O(nnz + |support|). The structure (rows, support) is unchanged;
+  /// factor must have size num_contents() and is read only at the
+  /// support. Each scaled rate is the same product the dense code
   /// computes, so the result matches from_dense of the scaled dense matrix.
   void scale_by_content(const std::vector<double>& factor);
 
@@ -97,6 +98,10 @@ class SparseSbsDemand {
                          const SparseSbsDemand&) = default;
 
  private:
+  /// Recomputes support_totals_ from the entries; needs the closed rows
+  /// and the sorted support.
+  void rebuild_support_totals();
+
   std::size_t num_classes_ = 0;
   std::size_t num_contents_ = 0;
   std::vector<std::size_t> row_ptr_;     // row m spans [row_ptr_[m], [m+1])

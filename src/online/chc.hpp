@@ -57,7 +57,8 @@ class FhcPlanner {
   void resync(std::size_t slot, const model::CacheState& executed);
 
   /// Snapshot = plan bookkeeping: the current plan, its time, the committed
-  /// trajectory and a pending resync (Checkpointable contract). Every plan
+  /// trajectory and a pending resync (the Controller::save_state
+  /// contract, online/controller.hpp). Every plan
   /// is a fresh solve, so no solver state is part of it.
   void save_state(util::BinaryWriter& w) const;
   void restore_state(util::BinaryReader& r);

@@ -106,11 +106,15 @@ class Controller {
   }
 
   /// Checkpoint support (see runtime/checkpoint.hpp). A controller that
-  /// returns true here implements save_state()/restore_state() with the
-  /// Checkpointable contract: restoring a snapshot into a freshly reset()
-  /// controller makes every subsequent decide() bit-identical to the
-  /// original's. The checkpointing simulator rejects unsupported
-  /// controllers upfront rather than writing snapshots that cannot resume.
+  /// returns true here implements save_state()/restore_state() with this
+  /// contract: after `b.restore_state(r)`, where `r` reads the bytes
+  /// `a.save_state(w)` wrote and `b` is a freshly reset() controller, `b`
+  /// behaves bit-identically to `a` on every subsequent call, including
+  /// any state that affects results only indirectly. The components a
+  /// controller carries across slots (planners, predictors) snapshot
+  /// under the same contract. The checkpointing simulator rejects
+  /// unsupported controllers upfront rather than writing snapshots that
+  /// cannot resume.
   virtual bool supports_checkpoint() const { return false; }
   virtual void save_state(util::BinaryWriter& w) const {
     (void)w;

@@ -46,12 +46,13 @@ model::SlotDecision RhcController::decide(const DecisionContext& ctx) {
   // — the clean path stays bit-identical to the unsupervised controller.
   // RHC commits only the first action, so a truncated backoff retry may
   // shrink the window down to a single slot.
-  const auto solution =
+  auto solution =
       runtime::supervised_solve(solver_, problem, ctx.deadline, {},
                                 ctx.supervision, ctx.slot, /*min_horizon=*/1);
 
-  trajectory_cache_ = solution.schedule.front().cache;
-  return solution.schedule.front();
+  model::SlotDecision decision = std::move(solution.schedule.front());
+  trajectory_cache_ = decision.cache;
+  return decision;
 }
 
 void RhcController::save_state(util::BinaryWriter& w) const {

@@ -27,13 +27,7 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng::result_type Rng::operator()() {
   const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
+  advance();
   return result;
 }
 

@@ -34,6 +34,13 @@ class Rng {
   /// Next raw 64-bit value.
   result_type operator()();
 
+  /// Advances the stream past n raw values without producing them: the
+  /// same state as n calls of operator(). A consumer that needs only some
+  /// positions of a sequential stream skips the others this way.
+  void discard(std::uint64_t n) {
+    for (; n != 0; --n) advance();
+  }
+
   /// Uniform double in [0, 1).
   double uniform();
 
@@ -98,6 +105,18 @@ class Rng {
   explicit Rng(const State& state);
 
  private:
+  /// One xoshiro256** state transition; operator() applies the output
+  /// scrambler to the state before it.
+  void advance() {
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = (state_[3] << 45) | (state_[3] >> 19);
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

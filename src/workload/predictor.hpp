@@ -11,15 +11,18 @@
 // further into the future".
 //
 // Both predictors can be backed by a dense OR a sparse truth trace and
-// serve both representations: predict_sparse() on a sparse-backed
-// predictor applies the SAME noise factors to the stored entries only
-// (the skipped dense terms are exact zeros scaled by a positive factor),
-// so for an untruncated trace the sparse forecast densifies to the dense
-// forecast bit for bit.
+// serve both representations. Each noise factor is the (n, k) position of
+// two sequential streams (see NoisyPredictor); predict_sparse() draws the
+// factors only at each SBS's support and skips the jitter stream past the
+// other positions, so it costs O(nnz + N * K raw generator steps) instead
+// of O(N * K) factors. The skipped dense terms are exact zeros scaled by a
+// positive factor, so for an untruncated trace the sparse forecast
+// densifies to the dense forecast bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "model/demand.hpp"
 #include "model/sparse_demand.hpp"
@@ -107,19 +110,23 @@ class NoisyPredictor final : public Predictor {
   double eta() const { return eta_; }
 
  private:
-  /// Per-content noise factors for every SBS of slot t as seen at tau; one
-  /// flat vector per SBS, drawn in SBS order from the shared bias/jitter
-  /// streams (identical draws whichever representation is served).
-  std::vector<std::vector<double>> noise_factors(std::size_t tau,
-                                                 std::size_t t,
-                                                 std::size_t num_sbs,
-                                                 std::size_t contents) const;
+  /// Noise factor of (SBS n, content k) for slot t as seen at tau is
+  ///   clamp(bias * jitter, 1 - eta_eff, 1 + eta_eff),
+  /// with bias ~ U[1 - eta_eff, 1 + eta_eff) from a per-seed stream and
+  /// jitter ~ U[1 - eta_eff / 2, 1 + eta_eff / 2) from a per-(tau, t)
+  /// stream; both streams are consumed in (n, k) order, position
+  /// n * K + k. The bias stream does not depend on (tau, t), so its unit
+  /// draws are taken once at construction.
+  double effective_eta(std::size_t tau, std::size_t t) const;
 
   const model::DemandTrace* truth_ = nullptr;
   const model::SparseDemandTrace* sparse_truth_ = nullptr;
   double eta_;
   double lead_growth_;
   std::uint64_t seed_;
+  /// Unit uniforms of the bias stream at positions [0, N * K) of the
+  /// widest slot; empty when eta == 0.
+  std::vector<double> bias_units_;
 };
 
 }  // namespace mdo::workload

@@ -306,6 +306,20 @@ TEST(Feasibility, EnforceRefusesCapacityViolation) {
                InvalidArgument);
 }
 
+TEST(Feasibility, RejectsDecisionShapedForAnotherConfig) {
+  const auto config = small_config();
+  const auto demand = uniform_demand(config, 1.0);
+  auto narrower = config;
+  narrower.num_contents -= 1;
+  SlotDecision decision;
+  decision.cache = CacheState(narrower);
+  decision.load = LoadAllocation(narrower);
+  EXPECT_THROW(enforce_feasibility(config, demand, decision),
+               InvalidArgument);
+  EXPECT_THROW((void)check_feasibility(config, demand, decision),
+               InvalidArgument);
+}
+
 // --------------------------------------------------------------- instance ----
 
 TEST(Instance, ValidatesCoherence) {

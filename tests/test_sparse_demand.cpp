@@ -6,7 +6,10 @@
 // well via the _mt4 registration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -23,6 +26,7 @@
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -182,6 +186,43 @@ TEST(SparseDemand, ScaleByContentMatchesDenseScaling) {
   }
 }
 
+TEST(SparseDemand, ScaleByContentWalkMatchesFromDenseBitwise) {
+  // Class 0 empty, class 1 a single entry, classes 2 and 3 with disjoint
+  // supports, class 4 overlapping all of them (totals then sum over
+  // several classes in class order).
+  const std::size_t contents = 9;
+  model::SbsDemand dense(5, contents);
+  dense.at(1, 4) = 0.7;
+  dense.at(2, 0) = 1.3;
+  dense.at(2, 5) = 0.11;
+  dense.at(3, 1) = 2.9;
+  dense.at(3, 8) = 0.05;
+  dense.at(4, 0) = 0.31;
+  dense.at(4, 4) = 1.7;
+  dense.at(4, 8) = 0.9;
+  std::vector<double> factor(contents);
+  for (std::size_t k = 0; k < contents; ++k) {
+    factor[k] = 0.61 + 0.173 * static_cast<double>(k) / 3.0;
+  }
+  model::SbsDemand scaled = dense;
+  for (std::size_t m = 0; m < scaled.num_classes(); ++m) {
+    for (std::size_t k = 0; k < contents; ++k) scaled.at(m, k) *= factor[k];
+  }
+  auto sparse = model::SparseSbsDemand::from_dense(dense);
+  ASSERT_EQ(sparse.row_begin(0), sparse.row_end(0));
+  ASSERT_EQ(sparse.row_end(1) - sparse.row_begin(1), 1);
+  sparse.scale_by_content(factor);
+  const auto want = model::SparseSbsDemand::from_dense(scaled);
+  EXPECT_EQ(sparse, want);  // entries, rows, support and cached totals
+  for (std::size_t k = 0; k < contents; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sparse.content_total(k)),
+              std::bit_cast<std::uint64_t>(scaled.content_total(k)))
+        << "k=" << k;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sparse.total()),
+            std::bit_cast<std::uint64_t>(scaled.total()));
+}
+
 // ---- generation and serialization ----------------------------------------
 
 TEST(SparseDemand, GeneratorSparseMatchesDenseBitwise) {
@@ -319,6 +360,130 @@ TEST(SparseDemand, NoisyPredictorSparseMatchesDense) {
             EXPECT_EQ(densified.at(m, k), want[n].at(m, k))
                 << "tau=" << tau << " t=" << t;
             EXPECT_EQ(got_dense[n].at(m, k), want[n].at(m, k));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Reference copy of the sequential forecast draw: for every SBS in order
+/// and every content, one bias draw from the per-seed stream and one
+/// jitter draw from the per-(tau, t) stream, N * K factors per query.
+model::SlotDemand reference_forecast(const model::SlotDemand& truth,
+                                     double eta, std::uint64_t seed,
+                                     double lead_growth, std::size_t tau,
+                                     std::size_t t) {
+  model::SlotDemand out = truth;
+  if (eta == 0.0) return out;
+  const std::size_t contents = out.empty() ? 0 : out.front().num_contents();
+  const double lead = static_cast<double>(t - tau);
+  const double eta_eff = std::min(0.95, eta * (1.0 + lead_growth * lead));
+  std::uint64_t bias_mix = seed;
+  (void)splitmix64(bias_mix);
+  Rng bias_rng(splitmix64(bias_mix));
+  std::uint64_t mix = seed;
+  (void)splitmix64(mix);
+  mix ^= 0x9e3779b97f4a7c15ULL * (tau + 1);
+  (void)splitmix64(mix);
+  mix ^= 0xc2b2ae3d27d4eb4fULL * (t + 1);
+  Rng jitter_rng(splitmix64(mix));
+  for (model::SbsDemand& demand : out) {
+    std::vector<double> factor(contents);
+    for (double& f : factor) {
+      const double bias = bias_rng.uniform(1.0 - eta_eff, 1.0 + eta_eff);
+      const double jitter =
+          jitter_rng.uniform(1.0 - 0.5 * eta_eff, 1.0 + 0.5 * eta_eff);
+      f = std::clamp(bias * jitter, 1.0 - eta_eff, 1.0 + eta_eff);
+    }
+    auto& flat = demand.data();
+    for (std::size_t j = 0; j < flat.size(); ++j) {
+      flat[j] *= factor[j % contents];
+    }
+  }
+  return out;
+}
+
+void expect_bitwise_equal(const model::SbsDemand& got,
+                          const model::SbsDemand& want) {
+  ASSERT_EQ(got.data().size(), want.data().size());
+  for (std::size_t j = 0; j < want.data().size(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.data()[j]),
+              std::bit_cast<std::uint64_t>(want.data()[j]))
+        << "flat index " << j;
+  }
+}
+
+/// Four-SBS truths that exercise the stream skip: SBS 1 has no demand at
+/// all, SBS 2 only contents 0 and K - 1, SBSs 0 and 3 the generated Zipf
+/// rows (truncated when min_rate > 0).
+model::DemandTrace oracle_truth(const model::NetworkConfig& config,
+                                double min_rate) {
+  workload::WorkloadOptions options;
+  options.seed = 57;
+  options.min_rate = min_rate;
+  model::DemandTrace trace = workload::generate_demand(config, 7, options);
+  const std::size_t last = config.num_contents - 1;
+  for (std::size_t t = 0; t < trace.horizon(); ++t) {
+    model::SlotDemand& slot = trace.slot(t);
+    slot[1] = model::SbsDemand(slot[1].num_classes(), config.num_contents);
+    model::SbsDemand edges(slot[2].num_classes(), config.num_contents);
+    for (std::size_t m = 0; m < edges.num_classes(); ++m) {
+      edges.at(m, 0) = 0.4 + 0.1 * static_cast<double>(m + t);
+      if (m != 1) edges.at(m, last) = 0.03 * static_cast<double>(m + 1);
+    }
+    slot[2] = edges;
+  }
+  return trace;
+}
+
+TEST(SparseDemand, NoisyPredictorMatchesSequentialDrawOracle) {
+  const auto config = tiny_config(4, 11, 3);
+  struct Noise {
+    double eta;
+    double lead_growth;
+  };
+  // (0.3, 1.0) reaches the 0.95 cap from lead 3 on.
+  const Noise noises[] = {{0.2, 0.0}, {0.3, 1.0}, {0.0, 0.0}, {0.0, 0.5}};
+  for (const double min_rate : {0.0, 0.1}) {
+    const model::DemandTrace dense = oracle_truth(config, min_rate);
+    const auto sparse = model::SparseDemandTrace::from_dense(dense);
+    ASSERT_TRUE(sparse.slot(0)[1].support().empty());
+    ASSERT_EQ(sparse.slot(0)[2].support().front(), 0u);
+    ASSERT_EQ(sparse.slot(0)[2].support().back(), config.num_contents - 1);
+    if (min_rate > 0.0) {
+      const auto untruncated = oracle_truth(config, 0.0);
+      ASSERT_GT(sparse.slot(0)[0].nnz(), 0u);
+      ASSERT_LT(sparse.slot(0)[0].nnz(),
+                model::SparseSbsDemand::from_dense(untruncated.slot(0)[0])
+                    .nnz());
+    }
+    for (const Noise& noise : noises) {
+      const std::uint64_t seed = 4321;
+      const workload::NoisyPredictor dense_pred(dense, noise.eta, seed,
+                                                noise.lead_growth);
+      const workload::NoisyPredictor sparse_pred(sparse, noise.eta, seed,
+                                                 noise.lead_growth);
+      for (std::size_t tau = 0; tau < 3; ++tau) {
+        for (std::size_t t = tau; t < dense.horizon(); ++t) {
+          SCOPED_TRACE(::testing::Message()
+                       << "min_rate=" << min_rate << " eta=" << noise.eta
+                       << " growth=" << noise.lead_growth << " tau=" << tau
+                       << " t=" << t);
+          const model::SlotDemand want = reference_forecast(
+              dense.slot(t), noise.eta, seed, noise.lead_growth, tau, t);
+          const auto from_dense_dense = dense_pred.predict(tau, t);
+          const auto from_sparse_dense = sparse_pred.predict(tau, t);
+          const auto from_dense_sparse = dense_pred.predict_sparse(tau, t);
+          const auto from_sparse_sparse = sparse_pred.predict_sparse(tau, t);
+          ASSERT_EQ(from_sparse_sparse.size(), want.size());
+          for (std::size_t n = 0; n < want.size(); ++n) {
+            expect_bitwise_equal(from_dense_dense[n], want[n]);
+            expect_bitwise_equal(from_sparse_dense[n], want[n]);
+            const auto want_sparse =
+                model::SparseSbsDemand::from_dense(want[n]);
+            EXPECT_EQ(from_dense_sparse[n], want_sparse) << "n=" << n;
+            EXPECT_EQ(from_sparse_sparse[n], want_sparse) << "n=" << n;
           }
         }
       }

@@ -24,6 +24,16 @@ TEST(Rng, DeterministicForSameSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
 }
 
+TEST(Rng, DiscardMatchesSkippedDraws) {
+  for (const std::uint64_t skip : {0u, 1u, 2u, 63u, 1000u}) {
+    Rng drawn(99), skipped(99);
+    for (std::uint64_t i = 0; i < skip; ++i) (void)drawn();
+    skipped.discard(skip);
+    EXPECT_EQ(skipped.state().words, drawn.state().words) << "skip=" << skip;
+    EXPECT_EQ(skipped(), drawn()) << "skip=" << skip;
+  }
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   Rng a(1), b(2);
   int same = 0;
