@@ -335,9 +335,10 @@ int main(int argc, char** argv) {
               << "T=" << config.scenario.horizon << " w=" << config.window
               << " reps=" << reps << "\n";
 
-    // Resident dual-vector footprint for one window of this (dense-demand)
-    // instance. The compact active-coordinate layout applies to sparse
-    // instances; its byte reduction is measured in bench_scaling.
+    // Resident dual-vector footprint for one window of this instance: its
+    // untruncated demand has full support, so the compact mu spans the
+    // whole coordinate space. bench_scaling measures the compact layout's
+    // byte reduction on truncated catalogues.
     const std::uint64_t mu_bytes_resident = [&] {
       const model::ProblemInstance probe = config.scenario.build();
       return static_cast<std::uint64_t>(

@@ -2,18 +2,20 @@
 //
 // Sweeps K (the catalogue size) and runs the same truncated Zipf(0.8)
 // scenario through the RHC controller twice per point: with the dense
-// M x K demand matrices (dense mu layout), and with the sparse CSR path,
-// which always keeps mu on the compact active-coordinate layout (the
-// dense-mu A/B switch is retired; compact IS the sparse layout). Both runs
+// M x K demand matrices and with the sparse CSR path. The solver runs one
+// active-set path for both (a dense window is solved through its lossless
+// sparse copy), so what differs is the demand representation the
+// predictor, controller and cost accounting carry around. Both runs
 // see the SAME trace values — the generator honors min_rate for both
 // representations — so total costs must match bit for bit (guarded;
 // nonzero exit on mismatch) and every latency difference is attributable
 // to the data layout and the active-set solves.
 //
 // Each child also reports the resident dual-vector footprint of one RHC
-// window (compact block bytes vs dense layout bytes), so the sparse path's
-// byte reduction — dense mu bytes / compact mu bytes — is measured,
-// reported per point, and gateable with --require-bytes-reduction.
+// window: the compact mu its solve holds. The byte reduction — the full
+// w * sum_n M_n * K coordinate space (core::mu_size) over the sparse leg's
+// compact vector — is reported per point and gateable with
+// --require-bytes-reduction.
 //
 // min_rate is derived from the Zipf-Mandelbrot pmf: the rate of the rank at
 // --head-fraction * K becomes the cutoff, so the surviving head is a fixed
@@ -43,7 +45,8 @@
 //                        speedup reaches X (default 0 = report only)
 //   --require-bytes-reduction X
 //                        exit nonzero unless the largest-K byte reduction
-//                        (resident mu, dense over compact) reaches X
+//                        (resident mu, full coordinate space over
+//                        compact) reaches X
 //                        (default 0 = report only)
 //   --p99-budget-ms X    exit nonzero when the largest-K sparse run's p99
 //                        decision latency exceeds X ms
@@ -78,9 +81,7 @@ using namespace mdo;
 
 using bench::percentile;
 
-/// The two measured configurations: dense demand (dense mu layout) and
-/// sparse demand (compact active-coordinate mu layout — the only sparse
-/// layout since the dense-mu A/B switch retired).
+/// The two measured demand representations.
 enum class Repr { kDense, kSparse };
 
 const char* repr_name(Repr repr) {
@@ -220,23 +221,18 @@ Measured measure(const ScalingSetup& setup, std::size_t contents,
   out.p50 = percentile(decision_seconds, 50.0);
   out.p99 = percentile(decision_seconds, 99.0);
 
-  // Byte accounting: the resident dual vector of one RHC window (compact
-  // block bytes vs the dense w*N*M*K layout).
-  if (sparse) {
-    const model::SparseDemandTrace window =
-        predictor->predict_window_sparse(0, setup.window);
-    const core::ActiveSets sets = core::build_active_sets(
-        instance.config, window, instance.initial_cache);
-    out.mu_bytes =
-        core::mu_block_offsets(instance.config, window.horizon(), sets)
-            .back() *
-        sizeof(double);
-  } else {
-    const model::DemandTrace window =
-        predictor->predict_window(0, setup.window);
-    out.mu_bytes =
-        core::mu_size(instance.config, window.horizon()) * sizeof(double);
-  }
+  // Byte accounting: the resident dual vector of one RHC window, i.e. the
+  // compact mu a solve of that window holds (for the dense leg, the mu of
+  // the window's lossless sparse copy, which is what the solver runs on).
+  const model::SparseDemandTrace window =
+      sparse ? predictor->predict_window_sparse(0, setup.window)
+             : model::SparseDemandTrace::from_dense(
+                   predictor->predict_window(0, setup.window));
+  const core::ActiveSets sets = core::build_active_sets(
+      instance.config, window, instance.initial_cache);
+  out.mu_bytes =
+      core::mu_block_offsets(instance.config, window.horizon(), sets).back() *
+      sizeof(double);
 
   out.peak_rss_kb = bench::self_peak_rss_kb();
   return out;
@@ -283,6 +279,15 @@ std::vector<std::size_t> parse_ks(const std::string& list) {
   }
   if (ks.empty()) throw InvalidArgument("--ks must name at least one size");
   return ks;
+}
+
+/// Bytes of one RHC window's full multiplier coordinate space,
+/// core::mu_size: w * N * M * K with the scenario's default SBS count (the
+/// bench never overrides it).
+double full_mu_bytes(const ScalingSetup& setup, std::size_t contents) {
+  return static_cast<double>(std::min(setup.window, setup.slots) *
+                             workload::PaperScenario{}.num_sbs *
+                             setup.classes * contents * sizeof(double));
 }
 
 void json_measured(std::ostream& os, const Measured& m) {
@@ -332,7 +337,7 @@ int main(int argc, char** argv) {
       Measured sparse;  // compact mu, the only sparse layout
       double speedup = 0.0;
       double rss_ratio = 0.0;
-      double bytes_reduction = 0.0;  // resident mu, dense over compact
+      double bytes_reduction = 0.0;  // full coordinate space over compact
       bool costs_match = false;
     };
     std::vector<Point> points;
@@ -353,10 +358,9 @@ int main(int argc, char** argv) {
                                   static_cast<double>(sparse->peak_rss_kb)
                             : 0.0;
       point.bytes_reduction =
-          sparse->mu_bytes > 0
-              ? static_cast<double>(dense->mu_bytes) /
-                    static_cast<double>(sparse->mu_bytes)
-              : 0.0;
+          sparse->mu_bytes > 0 ? full_mu_bytes(setup, contents) /
+                                     static_cast<double>(sparse->mu_bytes)
+                               : 0.0;
       // Same trace values, same solves on the surviving support, and a mu
       // that is provably zero off the active set: the costs must agree bit
       // for bit or one of the representations is broken.

@@ -161,26 +161,6 @@ void P2Workspace::set_linear_zero() {
   has_solution_ = false;
 }
 
-void P2Workspace::set_linear_from_dense(const double* block,
-                                        std::size_t stride) {
-  MDO_REQUIRE(bound(), "P2 workspace: bind() before set_linear_from_dense()");
-  if (!compact_) {
-    MDO_REQUIRE(stride == contents_,
-                "P2 workspace: dense gather stride mismatch");
-    set_linear(block, block + classes_ * contents_);
-    return;
-  }
-  const std::size_t a_count = active_.size();
-  coeff_.c.resize(classes_ * a_count);
-  for (std::size_t m = 0; m < classes_; ++m) {
-    for (std::size_t i = 0; i < a_count; ++i) {
-      coeff_.c[m * a_count + i] = block[m * stride + active_[i]];
-    }
-  }
-  linear_finite_ = all_finite(coeff_.c);
-  has_solution_ = false;
-}
-
 void P2Workspace::scatter_solution(linalg::Vec& dense) const {
   MDO_REQUIRE(bound(), "P2 workspace: bind() before scatter_solution()");
   MDO_REQUIRE(y_.size() == coeff_.lambda.size(),

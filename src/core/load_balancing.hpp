@@ -114,9 +114,8 @@ class P2Workspace {
   /// Active-set binding: restricts the variable space to the given sorted
   /// content list (which must cover the demand support — pass
   /// model::active_contents). Coefficient vectors are laid out compactly as
-  /// m * |active| + i with active[i] the dense content; set_linear_from_dense
-  /// gathers multipliers from a dense block and scatter_solution writes the
-  /// compact y back into a dense vector. With a full active set the
+  /// m * |active| + i with active[i] the dense content; scatter_solution
+  /// writes the compact y back into a dense vector. With a full active set the
   /// coefficients, and therefore every solve, are bit-identical to bind().
   /// Like bind(), it drops the warm start.
   void bind_active(const model::SbsConfig& sbs,
@@ -131,11 +130,6 @@ class P2Workspace {
   /// Copies [begin, end) into the linear term c. Size must match.
   void set_linear(const double* begin, const double* end);
   void set_linear_zero();
-
-  /// Gathers the linear term from a dense (m * stride + k) block into the
-  /// compact layout; equivalent to set_linear for a non-compact binding
-  /// (stride must then equal the content count).
-  void set_linear_from_dense(const double* block, std::size_t stride);
 
   /// Writes the solution into a dense (m * K + k) vector: verbatim copy for
   /// a dense binding, scatter over the active set for a compact one (the

@@ -42,8 +42,9 @@ bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
 
 /// Safe fallback for solves that cannot run (kNonFiniteInput): keep the
 /// current cache, serve everything from the BS, report vacuous bounds.
+/// The fallback carries no dual information, so its mu is empty.
 HorizonSolution fallback_solution(const HorizonProblem& problem,
-                                  solver::SolveStatus status, bool sparse) {
+                                  solver::SolveStatus status) {
   HorizonSolution degraded;
   degraded.status = status;
   degraded.upper_bound = kInf;
@@ -52,11 +53,6 @@ HorizonSolution fallback_solution(const HorizonProblem& problem,
   for (auto& slot : degraded.schedule) {
     slot.cache = problem.initial_cache;
     slot.load = model::LoadAllocation(*problem.config);
-  }
-  // Sparse solves return an EMPTY mu: the fallback carries no dual
-  // information and there is no active-set geometry to size it by.
-  if (!sparse) {
-    degraded.mu.assign(mu_size(*problem.config, problem.horizon()), 0.0);
   }
   return degraded;
 }
@@ -88,7 +84,7 @@ double HorizonSolution::gap() const {
 }
 
 std::size_t mu_size(const model::NetworkConfig& config, std::size_t horizon) {
-  return MuLayout(config).per_slot * horizon;
+  return config.total_classes() * config.num_contents * horizon;
 }
 
 PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
@@ -107,116 +103,75 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   MDO_REQUIRE((problem.demand != nullptr) != (problem.sparse_demand != nullptr),
               "horizon problem: exactly one demand representation");
   MDO_REQUIRE(problem.horizon() >= 1, "horizon problem: empty window");
-  const bool sparse = problem.use_sparse();
-  if (sparse ? !demand_finite_nonnegative(*problem.sparse_demand)
-             : !demand_finite_nonnegative(*problem.demand)) {
+  if (problem.use_sparse() ? !demand_finite_nonnegative(*problem.sparse_demand)
+                           : !demand_finite_nonnegative(*problem.demand)) {
     // Corrupted window (NaN/Inf/negative rates): iterating would only smear
     // the poison through mu and the schedules, so return the safe fallback —
     // keep the current cache (no replacement churn) and serve everything
     // from the BS — and let the caller degrade.
-    return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput,
-                             sparse);
+    return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput);
   }
   problem.validate();
+  // ---- The one conversion point. A dense window is copied losslessly
+  // (min_rate 0 keeps every nonzero) into the retained sparse buffer; from
+  // here on the solve runs only the active-set code. This must stay AFTER
+  // the checks above: the conversion drops negative rates silently.
+  if (!problem.use_sparse()) window_.assign_dense(*problem.demand);
+  const model::SparseDemandTrace& demand =
+      problem.use_sparse() ? *problem.sparse_demand : window_;
   const auto& config = *problem.config;
   const std::size_t w = problem.horizon();
   const std::size_t num_sbs = config.num_sbs();
   const std::size_t k_count = config.num_contents;
-  const MuLayout layout(config);
 
-  // ---- Sparse mode: the active-set index structures (shard_core.hpp),
-  // built FIRST because the compact mu vector is sized by them. Off the
-  // active set mu is provably zero throughout the ascent (marginal init is
-  // supported on lambda; off-support the subgradient is -x <= 0 and the
-  // projection pins mu at 0), so the compact vector stores exactly the
-  // active coordinates and nothing else (DESIGN.md §12).
-  ActiveSets sets;
-  std::vector<std::size_t> mu_off;
-  if (sparse) {
-    sets = build_active_sets(config, *problem.sparse_demand,
-                             problem.initial_cache);
-    mu_off = mu_block_offsets(config, w, sets);
-  }
+  // ---- The active-set index structures (shard_core.hpp), built FIRST
+  // because the compact mu vector is sized by them. Off the active set mu
+  // is provably zero throughout the ascent (marginal init is supported on
+  // lambda; off-support the subgradient is -x <= 0 and the projection pins
+  // mu at 0), so the compact vector stores exactly the active coordinates
+  // and nothing else (DESIGN.md §12).
+  ActiveSets sets = build_active_sets(config, demand, problem.initial_cache);
+  const std::vector<std::size_t> mu_off = mu_block_offsets(config, w, sets);
 
-  // ---- Marginal BS cost scale: used for both the automatic step size and
-  // the marginal initialization of mu. For SBS n at slot t the gradient of
-  // f at y = 0 is 2 * a * u_j, with a the omega-weighted total demand.
-  auto marginal_gradient = [&](std::size_t t, std::size_t n, linalg::Vec& g) {
-    const auto& sbs = config.sbs[n];
-    g.assign(layout.sbs_size[n], 0.0);
-    double a = 0.0;
-    const auto& demand = problem.demand->slot(t)[n];
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      double row = 0.0;
-      for (std::size_t k = 0; k < k_count; ++k) row += demand.at(m, k);
-      a += sbs.classes[m].omega_bs * row;
-    }
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        g[m * k_count + k] =
-            2.0 * a * sbs.classes[m].omega_bs * demand.at(m, k);
-      }
-    }
-    return a;
-  };
-
-  // ---- Initialize multipliers.
-  linalg::Vec mu(sparse ? mu_off.back() : layout.per_slot * w, 0.0);
+  // ---- Initialize multipliers at the marginal BS cost: for SBS n at slot
+  // t the gradient of f at y = 0 is 2 * a * u_j, with a the omega-weighted
+  // total demand. Its mean over all w * sum_n M_n * K coordinates (the
+  // off-support ones are exact zeros) also sets the automatic step size.
+  linalg::Vec mu(mu_off.back(), 0.0);
   double mean_marginal = 0.0;
   {
+    // Rows and active lists are both content-sorted, so one forward
+    // pointer finds each entry's compact active-set position.
     std::size_t entries = 0;
-    if (sparse) {
-      // Stored-entry twin of the dense loop below, without materializing the
-      // dense gradient: the skipped terms are exact zeros (they cannot move
-      // the nonnegative accumulator), the nonzeros are visited in the same
-      // ascending-j order, and `entries` counts every dense coordinate either
-      // way — mean_marginal and the written mu values are bit-identical. The
-      // write lands at the entry's compact active-set position (rows and
-      // active lists are both content-sorted, so one forward pointer finds
-      // it).
-      for (std::size_t t = 0; t < w; ++t) {
-        for (std::size_t n = 0; n < num_sbs; ++n) {
-          const auto& sbs = config.sbs[n];
-          const auto& demand = problem.sparse_demand->slot(t)[n];
-          double a = 0.0;
-          for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-            double row = 0.0;
-            for (const model::DemandEntry* it = demand.row_begin(m);
-                 it != demand.row_end(m); ++it) {
-              row += it->rate;
-            }
-            a += sbs.classes[m].omega_bs * row;
+    for (std::size_t t = 0; t < w; ++t) {
+      for (std::size_t n = 0; n < num_sbs; ++n) {
+        const auto& sbs = config.sbs[n];
+        const auto& cell = demand.slot(t)[n];
+        double a = 0.0;
+        for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+          double row = 0.0;
+          for (const model::DemandEntry* it = cell.row_begin(m);
+               it != cell.row_end(m); ++it) {
+            row += it->rate;
           }
-          const std::vector<std::size_t>& al = sets.active[t * num_sbs + n];
-          double* block = mu.data() + mu_off[t * num_sbs + n];
-          const std::size_t a_count = al.size();
-          for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-            std::size_t pos = 0;
-            for (const model::DemandEntry* it = demand.row_begin(m);
-                 it != demand.row_end(m); ++it) {
-              const double value =
-                  2.0 * a * sbs.classes[m].omega_bs * it->rate;
-              mean_marginal += value;
-              while (pos < a_count && al[pos] < it->content) ++pos;
-              MDO_CHECK(pos < a_count && al[pos] == it->content,
-                        "compact mu: support content missing from active set");
-              block[m * a_count + pos] = value;
-            }
-          }
-          entries += layout.sbs_size[n];
+          a += sbs.classes[m].omega_bs * row;
         }
-      }
-    } else {
-      linalg::Vec g;
-      for (std::size_t t = 0; t < w; ++t) {
-        for (std::size_t n = 0; n < num_sbs; ++n) {
-          marginal_gradient(t, n, g);
-          for (std::size_t j = 0; j < g.size(); ++j) {
-            mean_marginal += g[j];
-            ++entries;
-            mu[layout.offset(t, n) + j] = g[j];
+        const std::vector<std::size_t>& al = sets.active[t * num_sbs + n];
+        double* block = mu.data() + mu_off[t * num_sbs + n];
+        const std::size_t a_count = al.size();
+        for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+          std::size_t pos = 0;
+          for (const model::DemandEntry* it = cell.row_begin(m);
+               it != cell.row_end(m); ++it) {
+            const double value = 2.0 * a * sbs.classes[m].omega_bs * it->rate;
+            mean_marginal += value;
+            while (pos < a_count && al[pos] < it->content) ++pos;
+            MDO_CHECK(pos < a_count && al[pos] == it->content,
+                      "compact mu: support content missing from active set");
+            block[m * a_count + pos] = value;
           }
         }
+        entries += sbs.num_classes() * k_count;
       }
     }
     mean_marginal /= std::max<std::size_t>(entries, 1);
@@ -224,8 +179,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   if (!std::isfinite(mean_marginal)) {
     // Finite rates so large that the quadratic cost overflows: as unusable
     // as a NaN window, so take the same fallback.
-    return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput,
-                             sparse);
+    return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput);
   }
   const double step_scale = options_.step_scale > 0.0
                                 ? options_.step_scale
@@ -248,32 +202,22 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     linalg::Vec scratch(k_count);
     for (std::size_t n = 0; n < num_sbs; ++n) {
       if (receivers[n].empty()) continue;  // empty vector = no tilt
-      const std::size_t kp = sparse ? sets.p1_list[n].size() : k_count;
-      neighbor_rewards[n].assign(w * kp, 0.0);
+      const std::vector<std::size_t>& list = sets.p1_list[n];
+      neighbor_rewards[n].assign(w * list.size(), 0.0);
       for (std::size_t t = 0; t < w; ++t) {
         scratch.assign(k_count, 0.0);
         for (const std::size_t r : receivers[n]) {
-          if (sparse) {
-            const auto& dem = problem.sparse_demand->slot(t)[r];
-            for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
-              for (const model::DemandEntry* it = dem.row_begin(m);
-                   it != dem.row_end(m); ++it) {
-                scratch[it->content] += it->rate;
-              }
-            }
-          } else {
-            const auto& dem = problem.demand->slot(t)[r];
-            for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
-              for (std::size_t k = 0; k < k_count; ++k) {
-                scratch[k] += dem.at(m, k);
-              }
+          const auto& dem = demand.slot(t)[r];
+          for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
+            for (const model::DemandEntry* it = dem.row_begin(m);
+                 it != dem.row_end(m); ++it) {
+              scratch[it->content] += it->rate;
             }
           }
         }
-        double* row = neighbor_rewards[n].data() + t * kp;
-        for (std::size_t i = 0; i < kp; ++i) {
-          const std::size_t k = sparse ? sets.p1_list[n][i] : i;
-          row[i] = options_.p1_neighbor_price * scratch[k];
+        double* row = neighbor_rewards[n].data() + t * list.size();
+        for (std::size_t i = 0; i < list.size(); ++i) {
+          row[i] = options_.p1_neighbor_price * scratch[list[i]];
         }
       }
     }
@@ -281,31 +225,24 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
 
   ShardInputs inputs;
   inputs.config = problem.config;
+  inputs.demand = &demand;
   inputs.initial_cache = &problem.initial_cache;
-  if (sparse) {
-    inputs.sparse_demand = problem.sparse_demand;
-  } else {
-    inputs.demand = problem.demand;
-  }
   inputs.neighbor_rewards =
       neighbor_rewards.empty() ? nullptr : &neighbor_rewards;
-  ShardOptions shard_opts;
-  shard_opts.backend = options_.backend;
-  shard_opts.load_balancing = options_.load_balancing;
 
   // One full-range ShardCore runs the per-SBS passes (see shard_core.cpp);
   // every reduction stays below in serial index order.
   ShardCore core;
-  core.begin(inputs, shard_opts, bank_, p1_bank_, std::move(sets));
+  core.begin(inputs, options_.backend, options_.load_balancing, bank_,
+             p1_bank_, std::move(sets));
 
   HorizonSolution best;
   best.upper_bound = kInf;
   best.lower_bound = -kInf;
 
   // ---- Repair schedule buffer, reused across dual iterations. Every cell
-  // rewrites its full coordinate range each iteration (dense mode) or
-  // exactly its active coordinates (sparse mode — the off-active entries
-  // are structurally zero and never touched), so the buffer needs no
+  // rewrites exactly its active coordinates (the off-active entries are
+  // structurally zero and never touched), so the buffer needs no
   // re-zeroing between iterations. An improved upper bound swaps the buffer
   // into `best`; the next iteration builds a replacement only if it runs,
   // so a solve that stops after one iteration allocates one w * N * M * K
@@ -345,6 +282,9 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     best.lower_bound = std::max(best.lower_bound, dual_value);
 
     // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
+    // The cost is taken on the caller's own view: for a dense window the
+    // dense evaluation is cheaper than the full-support sparse copy's and
+    // gives the same bits.
     if (schedule.size() != w) schedule = make_schedule();
     core.repair(schedule);
     const model::CostBreakdown cost = model::schedule_cost(

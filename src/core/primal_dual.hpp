@@ -20,7 +20,11 @@
 //
 // The per-SBS / per-(slot, SBS) loop bodies live in core::ShardCore
 // (shard_core.hpp): the solver drives one full-range ShardCore, whose
-// passes the thread pool parallelizes.
+// passes the thread pool parallelizes. There is one solve path, the
+// active-set one: a dense window is checked, validated and then copied
+// losslessly into a sparse buffer the solver keeps, so dense and sparse
+// inputs run the same code (only the cost accounting reads the caller's
+// own representation).
 #pragma once
 
 #include <cstddef>
@@ -44,11 +48,10 @@ namespace mdo::core {
 /// window starting from `initial_cache`. The window is referenced, not
 /// owned: exactly one of `demand` (dense) and `sparse_demand` is set, and
 /// the trace must outlive the solve — controllers keep per-window buffers
-/// and hand out views instead of copying the window per decision. With the
-/// sparse representation the solver restricts P1/P2 to each (slot, SBS)
-/// active set (support union cached); for a trace with no truncation the
-/// restriction covers every coordinate that can ever be nonzero, so the
-/// solution is bit-identical to the dense path.
+/// and hand out views instead of copying the window per decision. The
+/// solver restricts P1/P2 to each (slot, SBS) active set (support union
+/// cached); a dense window is solved through its lossless sparse copy, so a
+/// dense trace and its from_dense twin give bit-identical solutions.
 struct HorizonProblem {
   const model::NetworkConfig* config = nullptr;            // not owned
   const model::DemandTrace* demand = nullptr;              // window, W >= 1
@@ -88,8 +91,8 @@ struct PrimalDualOptions {
   /// perturbs P1's objective, so with a positive price the reported lower
   /// bound is heuristic, not a valid bound on (9). 0.0 (the default)
   /// disables the tilt and leaves every solve bitwise-identical to the
-  /// pre-topology solver. In sparse mode the tilt only reaches contents in
-  /// the SBS's restricted window union (others stay un-cacheable there).
+  /// pre-topology solver. The tilt only reaches contents in the SBS's
+  /// restricted window union (others stay un-cacheable there).
   double p1_neighbor_price = 0.0;
 };
 
@@ -98,9 +101,9 @@ struct HorizonSolution {
   double upper_bound = 0.0;   // objective (9) of `schedule`
   double lower_bound = 0.0;   // best dual value (valid lower bound)
   std::size_t iterations = 0; // dual iterations performed
-  /// Final multipliers: dense layout for dense-demand solves, the compact
-  /// active-coordinate layout (core::mu_block_offsets geometry) for
-  /// sparse-demand solves. Empty in a sparse kNonFiniteInput fallback.
+  /// Final multipliers in the compact active-coordinate layout
+  /// (core::mu_block_offsets geometry); at full support that is the dense
+  /// slot/SBS/class/content order. Empty in a kNonFiniteInput fallback.
   linalg::Vec mu;
   /// How the solve terminated. kNonFiniteInput means the demand window held
   /// NaN/Inf/negative rates, or rates so large that the quadratic cost
@@ -114,8 +117,8 @@ struct HorizonSolution {
   double gap() const;
 };
 
-/// Multiplier layout helpers: mu is flat, slot-major then SBS then class
-/// then content.
+/// Size of the full w * sum_n M_n * K multiplier coordinate space (the
+/// compact mu of a full-support window).
 std::size_t mu_size(const model::NetworkConfig& config, std::size_t horizon);
 
 class PrimalDualSolver {
@@ -132,9 +135,10 @@ class PrimalDualSolver {
   /// status with a safe fallback schedule (see HorizonSolution::status).
   ///
   /// Non-const only because the solver keeps the per-(slot, SBS) P2
-  /// workspace bank and the per-SBS P1 bank as reusable buffers (the
-  /// zero-allocation hot path); every workspace is re-bound, with a cold P2
-  /// start and a P1 network rebuilt in place, at the top of each solve.
+  /// workspace bank, the per-SBS P1 bank and the sparse copy of a dense
+  /// window as reusable buffers (the zero-allocation hot path); every
+  /// workspace is re-bound, with a cold P2 start and a P1 network rebuilt
+  /// in place, at the top of each solve.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -151,6 +155,7 @@ class PrimalDualSolver {
   PrimalDualOptions options_;
   std::vector<CellState> bank_;  // cell = t * num_sbs + n; buffers only
   std::vector<P1State> p1_bank_;  // per SBS; buffers only
+  model::SparseDemandTrace window_;  // sparse copy of a dense window
 };
 
 }  // namespace mdo::core

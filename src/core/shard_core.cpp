@@ -67,30 +67,26 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
   return offsets;
 }
 
-void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
+void ShardCore::begin(const ShardInputs& in, P1Backend backend,
+                      const LoadBalancingOptions& load_balancing,
                       std::vector<CellState>& bank,
                       std::vector<P1State>& p1_bank, ActiveSets sets) {
-  MDO_REQUIRE(in.config != nullptr && in.initial_cache != nullptr,
-              "shard core: config and initial cache must be set");
-  MDO_REQUIRE((in.demand != nullptr) != (in.sparse_demand != nullptr),
-              "shard core: exactly one demand representation must be set");
+  MDO_REQUIRE(in.config != nullptr && in.demand != nullptr &&
+                  in.initial_cache != nullptr,
+              "shard core: config, demand and initial cache must be set");
   inputs_ = in;
-  options_ = opts;
+  backend_ = backend;
+  load_balancing_ = load_balancing;
   config_ = in.config;
-  sparse_ = in.sparse();
-  horizon_ = in.horizon();
-  layout_ = MuLayout(*config_);
+  horizon_ = in.demand->horizon();
   sets_ = std::move(sets);
   bank_ = &bank;
   p1_ = &p1_bank;
-  mu_off_ = sparse_ ? mu_block_offsets(*config_, horizon_, sets_)
-                    : std::vector<std::size_t>{};
+  mu_off_ = mu_block_offsets(*config_, horizon_, sets_);
 
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
 
   // ---- Per-(slot, SBS) P2 workspaces: coefficients are built once here,
   // the dual loop then only refreshes the mu-dependent linear term (and the
@@ -101,15 +97,9 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
-    if (sparse) {
-      cs.p2.bind_active(config.sbs[n], inputs_.sparse_demand->slot(t)[n],
-                        sets_.active[cell]);
-      cs.repair.bind_active(config.sbs[n], inputs_.sparse_demand->slot(t)[n],
-                            sets_.active[cell]);
-    } else {
-      cs.p2.bind(config.sbs[n], inputs_.demand->slot(t)[n]);
-      cs.repair.bind(config.sbs[n], inputs_.demand->slot(t)[n]);
-    }
+    const model::SparseSbsDemand& demand = inputs_.demand->slot(t)[n];
+    cs.p2.bind_active(config.sbs[n], demand, sets_.active[cell]);
+    cs.repair.bind_active(config.sbs[n], demand, sets_.active[cell]);
   });
 
   // ---- Per-SBS P1 state, reused across dual iterations: the subproblem's
@@ -121,31 +111,24 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
     P1State& p1 = p1_bank[n];
     CachingSubproblem& sub = p1.sub;
-    // Sparse mode restricts P1 to the window's content union: everything
-    // outside has zero reward in every slot and is not initially cached, so
-    // (with beta > 0) the optimum never caches it. The flow pushes exactly
+    // P1 is restricted to the window's content union: everything outside
+    // has zero reward in every slot and is not initially cached, so (with
+    // beta > 0) the optimum never caches it. The flow pushes exactly
     // `capacity` units, surplus ones through the zero-cost pool chain, so
     // clamping capacity to the restricted catalogue only removes pool
     // augmentations and leaves x unchanged.
-    const std::size_t kp = sparse ? sets_.p1_list[n].size() : k_count;
+    const std::vector<std::size_t>& list = sets_.p1_list[n];
+    const std::size_t kp = list.size();
     sub.num_contents = kp;
     sub.horizon = w;
-    sub.capacity = sparse ? std::min(config.sbs[n].cache_capacity, kp)
-                          : config.sbs[n].cache_capacity;
+    sub.capacity = std::min(config.sbs[n].cache_capacity, kp);
     sub.beta = config.sbs[n].replacement_beta;
     sub.initial.assign(kp, 0);
-    if (sparse) {
-      for (std::size_t i = 0; i < kp; ++i) {
-        sub.initial[i] =
-            inputs_.initial_cache->cached(n, sets_.p1_list[n][i]) ? 1 : 0;
-      }
-    } else {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        sub.initial[k] = inputs_.initial_cache->cached(n, k) ? 1 : 0;
-      }
+    for (std::size_t i = 0; i < kp; ++i) {
+      sub.initial[i] = inputs_.initial_cache->cached(n, list[i]) ? 1 : 0;
     }
     sub.rewards.assign(kp * w, 0.0);
-    if (options_.backend == P1Backend::kFlow && kp > 0) {
+    if (backend_ == P1Backend::kFlow && kp > 0) {
       p1.flow.bind(sub);
     } else {
       p1.flow.unbind();  // an empty union must not reuse an older network
@@ -161,14 +144,10 @@ void ShardCore::iterate(const linalg::Vec& mu) {
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
   std::vector<CellState>& bank = *bank_;
   std::vector<P1State>& p1_bank = *p1_;
-  if (sparse) {
-    MDO_REQUIRE(mu.size() == mu_off_.back(),
-                "shard core: compact mu size mismatch");
-  }
+  MDO_REQUIRE(mu.size() == mu_off_.back(),
+              "shard core: compact mu size mismatch");
 
   // ---- P1 + P2, ONE fused task-pool submission per dual iteration. The
   // first num_sbs tasks are P1 (caching per SBS under rewards
@@ -193,25 +172,14 @@ void ShardCore::iterate(const linalg::Vec& mu) {
       const std::size_t classes = config.sbs[n].num_classes();
       const std::size_t kp = sub.num_contents;
       for (std::size_t t = 0; t < w; ++t) {
-        if (sparse) {
-          // Contiguous reads straight out of the cell's compact block —
-          // same addends, same order as the dense gather below.
-          const std::vector<std::size_t>& al = sets_.active[t * num_sbs + n];
-          const std::vector<std::size_t>& map =
-              sets_.cell_p1[t * num_sbs + n];
-          const double* block = mu.data() + mu_off_[t * num_sbs + n];
-          const std::size_t a_count = al.size();
-          for (std::size_t m = 0; m < classes; ++m) {
-            for (std::size_t i = 0; i < a_count; ++i) {
-              sub.rewards[t * kp + map[i]] += block[m * a_count + i];
-            }
-          }
-        } else {
-          const std::size_t base = layout_.offset(t, n);
-          for (std::size_t m = 0; m < classes; ++m) {
-            for (std::size_t k = 0; k < k_count; ++k) {
-              sub.rewards[t * k_count + k] += mu[base + m * k_count + k];
-            }
+        // Contiguous reads straight out of the cell's compact block, summed
+        // over classes in ascending order.
+        const std::vector<std::size_t>& map = sets_.cell_p1[t * num_sbs + n];
+        const double* block = mu.data() + mu_off_[t * num_sbs + n];
+        const std::size_t a_count = map.size();
+        for (std::size_t m = 0; m < classes; ++m) {
+          for (std::size_t i = 0; i < a_count; ++i) {
+            sub.rewards[t * kp + map[i]] += block[m * a_count + i];
           }
         }
       }
@@ -228,7 +196,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
           }
         }
       }
-      if (options_.backend == P1Backend::kFlow) {
+      if (backend_ == P1Backend::kFlow) {
         p1_objectives_[n] = p1.flow.solve_into(sub, p1.x);
       } else {
         const CachingSolution sol = solve_caching_simplex(sub);
@@ -237,22 +205,13 @@ void ShardCore::iterate(const linalg::Vec& mu) {
       }
       return;
     }
+    // The compact block IS the bound workspace's coefficient layout
+    // (class-major over active positions): a straight contiguous copy.
     const std::size_t cell = task - num_sbs;
-    const std::size_t t = cell / num_sbs;
-    const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
-    if (sparse) {
-      // The compact block IS the bound workspace's coefficient layout
-      // (class-major over active positions): a straight contiguous copy
-      // replaces the strided dense gather.
-      cs.p2.set_linear(mu.data() + mu_off_[cell], mu.data() + mu_off_[cell + 1]);
-    } else {
-      const std::size_t base = layout_.offset(t, n);
-      cs.p2.set_linear(mu.data() + base,
-                       mu.data() + base + layout_.sbs_size[n]);
-    }
+    cs.p2.set_linear(mu.data() + mu_off_[cell], mu.data() + mu_off_[cell + 1]);
     p2_objectives_[cell] =
-        solve_load_balancing(cs.p2, options_.load_balancing).objective;
+        solve_load_balancing(cs.p2, load_balancing_).objective;
   });
 }
 
@@ -260,42 +219,30 @@ void ShardCore::repair(model::Schedule& schedule) {
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
   std::vector<CellState>& bank = *bank_;
 
   // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
   // Cells are independent per (slot, SBS): every cell touches only SBS n
   // of slot t (CacheState and LoadAllocation store one vector per SBS).
+  // Only active coordinates are written: the off-active entries of the
+  // schedule are structural zeros that the caller's buffer already holds.
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
     const std::size_t classes = config.sbs[n].num_classes();
+    const std::vector<std::size_t>& al = sets_.active[cell];
+    const std::vector<std::size_t>& map = sets_.cell_p1[cell];
+    const P1State& p1 = (*p1_)[n];
+    const std::size_t kp = p1.sub.num_contents;
+    const std::size_t a_count = al.size();
     linalg::Vec& ub = cs.ub;
-    if (sparse) {
-      const std::vector<std::size_t>& al = sets_.active[cell];
-      const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-      const P1State& p1 = (*p1_)[n];
-      const std::size_t kp = p1.sub.num_contents;
-      const std::size_t a_count = al.size();
-      ub.assign(classes * a_count, 0.0);
-      for (std::size_t i = 0; i < a_count; ++i) {
-        const bool cached = p1.x[t * kp + map[i]] != 0;
-        schedule[t].cache.set(n, al[i], cached);
-        if (cached) {
-          for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
-        }
-      }
-    } else {
-      ub.assign(classes * k_count, 0.0);
-      const std::uint8_t* x = (*p1_)[n].x.data() + t * k_count;
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const bool cached = x[k] != 0;
-        schedule[t].cache.set(n, k, cached);
-        if (cached) {
-          for (std::size_t m = 0; m < classes; ++m) ub[m * k_count + k] = 1.0;
-        }
+    ub.assign(classes * a_count, 0.0);
+    for (std::size_t i = 0; i < a_count; ++i) {
+      const bool cached = p1.x[t * kp + map[i]] != 0;
+      schedule[t].cache.set(n, al[i], cached);
+      if (cached) {
+        for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
       }
     }
     // Unchanged-x fast path: the workspace still holds the solution for
@@ -303,13 +250,9 @@ void ShardCore::repair(model::Schedule& schedule) {
     // begin() invalidated any previous window's solution).
     if (!cs.repair.has_solution() || ub != cs.repair.upper()) {
       cs.repair.set_upper(ub);
-      solve_load_balancing(cs.repair, options_.load_balancing);
+      solve_load_balancing(cs.repair, load_balancing_);
     }
-    if (sparse) {
-      cs.repair.scatter_solution(schedule[t].load.sbs_data(n));
-    } else {
-      schedule[t].load.sbs_data(n) = cs.repair.y();
-    }
+    cs.repair.scatter_solution(schedule[t].load.sbs_data(n));
   });
 }
 
@@ -317,49 +260,34 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
   std::vector<CellState>& bank = *bank_;
 
-  // ---- Projected subgradient ascent on mu: g = y - x (17). In sparse
-  // mode only active coordinates exist (compact layout); off the active
-  // set y = 0 and x = 0, so the dense update would compute
-  // max(0, mu + 0) = mu = 0. Every coordinate updates independently of all
-  // others, so cells update in parallel (each owns a disjoint mu range).
+  // ---- Projected subgradient ascent on mu: g = y - x (17), over the
+  // active coordinates only (off the active set y = 0 and x = 0, so the
+  // update would compute max(0, mu + 0) = mu = 0). Every coordinate updates
+  // independently of all others, so cells update in parallel (each owns a
+  // disjoint mu range).
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
     const std::size_t classes = config.sbs[n].num_classes();
     CellState& cs = bank[cell];
     const linalg::Vec& y = cs.p2.y();
-    if (sparse) {
-      // Expand the P1 bits for this cell once, then run the fused
-      // max(0, mu + delta*(y - x)) kernel row by row over the contiguous
-      // block — per-coordinate arithmetic identical to the dense update.
-      const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-      const P1State& p1 = (*p1_)[n];
-      const std::size_t kp = p1.sub.num_contents;
-      const std::size_t a_count = map.size();
-      cs.xd.resize(a_count);
-      for (std::size_t i = 0; i < a_count; ++i) {
-        cs.xd[i] = static_cast<double>(p1.x[t * kp + map[i]]);
-      }
-      double* block = mu.data() + mu_off_[cell];
-      for (std::size_t m = 0; m < classes; ++m) {
-        linalg::dual_ascent_project(block + m * a_count,
-                                    y.data() + m * a_count, cs.xd.data(),
-                                    delta, a_count);
-      }
-      return;
+    // Expand the P1 bits for this cell once, then run the fused
+    // max(0, mu + delta*(y - x)) kernel row by row over the contiguous
+    // block.
+    const std::vector<std::size_t>& map = sets_.cell_p1[cell];
+    const P1State& p1 = (*p1_)[n];
+    const std::size_t kp = p1.sub.num_contents;
+    const std::size_t a_count = map.size();
+    cs.xd.resize(a_count);
+    for (std::size_t i = 0; i < a_count; ++i) {
+      cs.xd[i] = static_cast<double>(p1.x[t * kp + map[i]]);
     }
-    const std::size_t base = layout_.offset(t, n);
-    const std::uint8_t* x = (*p1_)[n].x.data() + t * k_count;
+    double* block = mu.data() + mu_off_[cell];
     for (std::size_t m = 0; m < classes; ++m) {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const std::size_t j = base + m * k_count + k;
-        const double subgrad = y[m * k_count + k] - static_cast<double>(x[k]);
-        mu[j] = std::max(0.0, mu[j] + delta * subgrad);
-      }
+      linalg::dual_ascent_project(block + m * a_count, y.data() + m * a_count,
+                                  cs.xd.data(), delta, a_count);
     }
   });
 }

@@ -1,7 +1,10 @@
 // Per-SBS core of the primal-dual decomposition (Algorithm 1).
 //
 // The Lagrangian separates per SBS — P1 per SBS over the window, P2/repair
-// per (slot, SBS). ShardCore binds the per-SBS P1 bank (flow networks) and
+// per (slot, SBS), each restricted to its active set (ActiveSets below) and
+// indexed through the compact mu layout (mu_block_offsets). Dense windows
+// reach this code only as a lossless sparse copy made by the solver, so
+// there is exactly one implementation of every pass. ShardCore binds the per-SBS P1 bank (flow networks) and
 // the per-(slot, SBS) P2 workspace bank, both owned by the solver, and runs
 // those independent pieces on the thread pool:
 //
@@ -25,7 +28,6 @@
 #include "core/load_balancing.hpp"
 #include "linalg/vec.hpp"
 #include "model/decision.hpp"
-#include "model/demand.hpp"
 #include "model/network.hpp"
 #include "model/sparse_demand.hpp"
 
@@ -35,29 +37,6 @@ namespace mdo::core {
 enum class P1Backend {
   kFlow,     // min-cost flow (default, fast)
   kSimplex,  // the paper's LP + simplex route (slower, for fidelity/tests)
-};
-
-/// Index bookkeeping for the flat mu vector: slot-major, then SBS, then
-/// (class, content) flattened.
-struct MuLayout {
-  std::size_t per_slot = 0;
-  std::vector<std::size_t> sbs_offset;  // within one slot
-  std::vector<std::size_t> sbs_size;    // M_n * K
-
-  MuLayout() = default;
-  explicit MuLayout(const model::NetworkConfig& config) {
-    sbs_offset.resize(config.num_sbs());
-    sbs_size.resize(config.num_sbs());
-    for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-      sbs_offset[n] = per_slot;
-      sbs_size[n] = config.sbs[n].num_classes() * config.num_contents;
-      per_slot += sbs_size[n];
-    }
-  }
-
-  std::size_t offset(std::size_t t, std::size_t n) const {
-    return t * per_slot + sbs_offset[n];
-  }
 };
 
 /// Per-(slot, SBS) solver state (cell = t * num_sbs + n). The solver keeps
@@ -79,7 +58,7 @@ struct P1State {
   std::vector<std::uint8_t> x;  // last iterate()'s schedule, [t * kp + i]
 };
 
-/// Sparse-mode index structures, deterministic functions of (demand window,
+/// Active-set index structures, deterministic functions of (demand window,
 /// initial cache): per-cell active sets (support union cached), the per-SBS
 /// sorted union over the window (P1's restricted content list), and the
 /// per-cell map from active position to P1 position. Built once per solve by
@@ -104,33 +83,18 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
                                           std::size_t horizon,
                                           const ActiveSets& sets);
 
-/// The subset of PrimalDualOptions the per-SBS passes need.
-struct ShardOptions {
-  P1Backend backend = P1Backend::kFlow;
-  LoadBalancingOptions load_balancing{};
-};
-
-/// Non-owning window problem handed to ShardCore. Exactly one demand pointer
-/// is set.
+/// Non-owning window problem handed to ShardCore.
 struct ShardInputs {
   const model::NetworkConfig* config = nullptr;
-  const model::DemandTrace* demand = nullptr;
-  const model::SparseDemandTrace* sparse_demand = nullptr;
+  const model::SparseDemandTrace* demand = nullptr;
   const model::CacheState* initial_cache = nullptr;
   /// Optional P1 neighbor-demand reward addends (DESIGN.md §13): per SBS a
   /// vector in the P1 rewards layout ([t * kp + i] over the restricted
-  /// content list in sparse mode, [t * K + k] dense), computed serially by
-  /// the driver from the topology and the window demand and added to
-  /// sub.rewards each iteration. Constants of the solve — they never change
-  /// between dual iterations. Null or per-SBS empty vectors mean no tilt
-  /// (the default).
+  /// content list), computed serially by the driver from the topology and
+  /// the window demand and added to sub.rewards each iteration. Constants
+  /// of the solve — they never change between dual iterations. Null or
+  /// per-SBS empty vectors mean no tilt (the default).
   const std::vector<linalg::Vec>* neighbor_rewards = nullptr;
-
-  bool sparse() const { return sparse_demand != nullptr; }
-  std::size_t horizon() const {
-    return sparse_demand != nullptr ? sparse_demand->horizon()
-                                    : demand->horizon();
-  }
 };
 
 class ShardCore {
@@ -140,9 +104,9 @@ class ShardCore {
   /// use; begin() re-binds their workspaces to the new window, each P2
   /// starting cold and each P1 network rebuilt in place. `sets` must be
   /// the structures build_active_sets returns for these inputs (moved in so
-  /// the solver, which also needs them, builds them once); ignored in dense
-  /// mode.
-  void begin(const ShardInputs& in, const ShardOptions& opts,
+  /// the solver, which also needs them, builds them once).
+  void begin(const ShardInputs& in, P1Backend backend,
+             const LoadBalancingOptions& load_balancing,
              std::vector<CellState>& bank, std::vector<P1State>& p1_bank,
              ActiveSets sets);
 
@@ -152,7 +116,7 @@ class ShardCore {
   /// an iteration — repair is a separate call — so one fused parallel_for
   /// amortizes dispatch at large N). Each task writes only its own slot;
   /// no reductions happen here. `mu` is compact (mu_block_offsets
-  /// geometry) for sparse-demand inputs, dense-layout otherwise.
+  /// geometry).
   void iterate(const linalg::Vec& mu);
 
   /// Feasibility repair for the current x: P2 with c = 0 and ub = x per
@@ -174,10 +138,9 @@ class ShardCore {
  private:
   const model::NetworkConfig* config_ = nullptr;
   ShardInputs inputs_;
-  ShardOptions options_;
+  P1Backend backend_ = P1Backend::kFlow;
+  LoadBalancingOptions load_balancing_;
   std::size_t horizon_ = 0;
-  bool sparse_ = false;
-  MuLayout layout_;
   std::vector<std::size_t> mu_off_;
   ActiveSets sets_;
   std::vector<CellState>* bank_ = nullptr;

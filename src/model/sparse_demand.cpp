@@ -110,17 +110,30 @@ void SparseSbsDemand::scale_by_content(const std::vector<double>& factor) {
 
 SparseSbsDemand SparseSbsDemand::from_dense(const SbsDemand& dense,
                                             double min_rate) {
+  SparseSbsDemand sparse;
+  sparse.assign_dense(dense, min_rate);
+  return sparse;
+}
+
+void SparseSbsDemand::assign_dense(const SbsDemand& dense, double min_rate) {
   MDO_REQUIRE(std::isfinite(min_rate) && min_rate >= 0.0,
               "from_dense: min_rate must be finite and nonnegative");
-  SparseSbsDemand sparse(dense.num_classes(), dense.num_contents());
-  for (std::size_t m = 0; m < dense.num_classes(); ++m) {
-    for (std::size_t k = 0; k < dense.num_contents(); ++k) {
-      const double rate = dense.at(m, k);
-      if (rate != 0.0 && !(rate < min_rate)) sparse.append(m, k, rate);
+  num_classes_ = dense.num_classes();
+  num_contents_ = dense.num_contents();
+  const double* rates = dense.data().data();  // [m * K + k]
+  row_ptr_.assign(1, 0);
+  entries_.clear();
+  for (std::size_t m = 0; m < num_classes_; ++m) {
+    for (std::size_t k = 0; k < num_contents_; ++k) {
+      const double rate = rates[m * num_contents_ + k];
+      if (rate != 0.0 && !(rate < min_rate)) {
+        entries_.push_back(DemandEntry{k, rate});
+      }
     }
+    row_ptr_.push_back(entries_.size());
   }
-  sparse.finalize();
-  return sparse;
+  finalized_ = false;
+  finalize();
 }
 
 SbsDemand SparseSbsDemand::to_dense() const {
@@ -185,15 +198,20 @@ void SparseDemandTrace::validate(const NetworkConfig& config) const {
 SparseDemandTrace SparseDemandTrace::from_dense(const DemandTrace& trace,
                                                 double min_rate) {
   SparseDemandTrace out;
-  for (std::size_t t = 0; t < trace.horizon(); ++t) {
-    SparseSlotDemand slot;
-    slot.reserve(trace.slot(t).size());
-    for (const SbsDemand& demand : trace.slot(t)) {
-      slot.push_back(SparseSbsDemand::from_dense(demand, min_rate));
-    }
-    out.push_back(std::move(slot));
-  }
+  out.assign_dense(trace, min_rate);
   return out;
+}
+
+void SparseDemandTrace::assign_dense(const DemandTrace& trace,
+                                     double min_rate) {
+  slots_.resize(trace.horizon());
+  for (std::size_t t = 0; t < trace.horizon(); ++t) {
+    const SlotDemand& dense = trace.slot(t);
+    slots_[t].resize(dense.size());
+    for (std::size_t n = 0; n < dense.size(); ++n) {
+      slots_[t][n].assign_dense(dense[n], min_rate);
+    }
+  }
 }
 
 DemandTrace SparseDemandTrace::to_dense() const {

@@ -92,6 +92,9 @@ class SparseSbsDemand {
   /// dropped (become structural zeros). min_rate == 0 is lossless.
   static SparseSbsDemand from_dense(const SbsDemand& dense,
                                     double min_rate = 0.0);
+  /// from_dense into this object, reusing its buffers (finalized on
+  /// return).
+  void assign_dense(const SbsDemand& dense, double min_rate = 0.0);
   SbsDemand to_dense() const;
 
   friend bool operator==(const SparseSbsDemand&,
@@ -138,6 +141,8 @@ class SparseDemandTrace {
 
   static SparseDemandTrace from_dense(const DemandTrace& trace,
                                       double min_rate = 0.0);
+  /// from_dense into this trace, reusing the buffers of its slots.
+  void assign_dense(const DemandTrace& trace, double min_rate = 0.0);
   DemandTrace to_dense() const;
 
   friend bool operator==(const SparseDemandTrace&,

@@ -1,5 +1,6 @@
 // Tests for the compact active-coordinate mu layout (DESIGN.md §12) — the
-// ONLY mu layout of sparse solves since the dense-mu A/B switch retired:
+// ONLY mu layout of every solve (dense windows are solved through their
+// lossless sparse copy):
 // mu_block_offsets geometry, compact<->dense scatter/gather round trips,
 // solver- and controller-level bit-identity across thread counts, window
 // sequence edge cases, and the count()-guarded binary reader.
@@ -47,6 +48,16 @@ model::ProblemInstance sparse_instance(std::size_t horizon = 6,
   return scenario.build_sparse();
 }
 
+/// Start of (slot t, SBS n) in the dense slot/SBS/class/content layout.
+std::size_t dense_offset(const model::NetworkConfig& config, std::size_t t,
+                         std::size_t n) {
+  std::size_t offset = core::mu_size(config, t);
+  for (std::size_t i = 0; i < n; ++i) {
+    offset += config.sbs[i].num_classes() * config.num_contents;
+  }
+  return offset;
+}
+
 core::HorizonProblem window_problem(const model::ProblemInstance& instance) {
   core::HorizonProblem problem;
   problem.config = &instance.config;
@@ -78,8 +89,7 @@ TEST(CompactMu, BlockOffsetsMatchActiveSetGeometry) {
     }
   }
   // The truncated tail must actually shrink the compact vector.
-  const core::MuLayout layout(instance.config);
-  EXPECT_LT(offsets.back(), layout.per_slot * horizon);
+  EXPECT_LT(offsets.back(), core::mu_size(instance.config, horizon));
 }
 
 TEST(CompactMu, CompactDenseRoundTripIsLossless) {
@@ -91,7 +101,6 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
   const std::size_t contents = instance.config.num_contents;
   const auto offsets =
       core::mu_block_offsets(instance.config, horizon, sets);
-  const core::MuLayout layout(instance.config);
 
   // Distinct value per compact coordinate.
   linalg::Vec compact(offsets.back());
@@ -101,15 +110,16 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
 
   // Scatter to the dense layout exactly as the wire/coordinator does
   // (class-major over the active list within each cell)...
-  linalg::Vec dense(layout.per_slot * horizon, 0.0);
+  linalg::Vec dense(core::mu_size(instance.config, horizon), 0.0);
   for (std::size_t t = 0; t < horizon; ++t) {
     for (std::size_t n = 0; n < num_sbs; ++n) {
       const std::size_t cell = t * num_sbs + n;
       const auto& active = sets.active[cell];
       const std::size_t classes = instance.config.sbs[n].num_classes();
+      const std::size_t base = dense_offset(instance.config, t, n);
       for (std::size_t m = 0; m < classes; ++m) {
         for (std::size_t i = 0; i < active.size(); ++i) {
-          dense[layout.offset(t, n) + m * contents + active[i]] =
+          dense[base + m * contents + active[i]] =
               compact[offsets[cell] + m * active.size() + i];
         }
       }
@@ -121,9 +131,10 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
       const std::size_t cell = t * num_sbs + n;
       const auto& active = sets.active[cell];
       const std::size_t classes = instance.config.sbs[n].num_classes();
+      const std::size_t base = dense_offset(instance.config, t, n);
       for (std::size_t m = 0; m < classes; ++m) {
         for (std::size_t i = 0; i < active.size(); ++i) {
-          EXPECT_EQ(dense[layout.offset(t, n) + m * contents + active[i]],
+          EXPECT_EQ(dense[base + m * contents + active[i]],
                     compact[offsets[cell] + m * active.size() + i]);
         }
       }
@@ -143,7 +154,7 @@ TEST(CompactMu, SolverBitIdenticalAcrossThreadsAndShards) {
 
   core::PrimalDualSolver reference{core::PrimalDualOptions{}};
   const auto want = reference.solve(problem);
-  // Sparse solves always keep mu on the compact layout.
+  // Solves always keep mu on the compact layout.
   EXPECT_EQ(want.mu.size(), offsets.back());
   EXPECT_LT(want.mu.size(), core::mu_size(instance.config,
                                           instance.sparse_demand.horizon()));
@@ -178,7 +189,9 @@ TEST(CompactMu, DenseDemandSolvesUseDenseLayout) {
   core::PrimalDualOptions options;
   core::PrimalDualSolver solver(options);
   const auto solution = solver.solve(problem);
-  // Dense demand keeps the full dense mu layout (every content is active).
+  // A dense window is solved through its lossless sparse copy, so mu is
+  // compact here too; this demand has full support (every content is
+  // active), so the compact vector spans the whole dense coordinate space.
   EXPECT_EQ(solution.mu.size(),
             core::mu_size(instance.config, instance.demand.horizon()));
 }

@@ -438,20 +438,27 @@ TEST(SolveStatus, LoadBalancingRejectsNonFiniteDemand) {
 }
 
 TEST(SolveStatus, PrimalDualDegradesOnNonFiniteDemand) {
+  // The dense window is checked BEFORE the solver's sparse copy: the copy
+  // drops a negative rate silently, which would hide the poison.
   const auto instance = faulty_instance(3);
-  model::DemandTrace demand = instance.demand.window(0, 3);
-  demand.slot(1)[0].at(0, 0) = std::numeric_limits<double>::quiet_NaN();
-  core::HorizonProblem problem;
-  problem.config = &instance.config;
-  problem.demand = &demand;
-  problem.initial_cache = instance.initial_cache;
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                              std::numeric_limits<double>::infinity()}) {
+    model::DemandTrace demand = instance.demand.window(0, 3);
+    demand.slot(1)[0].at(0, 0) = poison;
+    core::HorizonProblem problem;
+    problem.config = &instance.config;
+    problem.demand = &demand;
+    problem.initial_cache = instance.initial_cache;
 
-  core::HorizonSolution solution;
-  EXPECT_NO_THROW(solution = core::PrimalDualSolver().solve(problem));
-  EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
-  ASSERT_EQ(solution.schedule.size(), 3u);
-  for (const auto& slot : solution.schedule) {
-    EXPECT_EQ(slot.cache, problem.initial_cache);  // safe carry-over
+    core::HorizonSolution solution;
+    EXPECT_NO_THROW(solution = core::PrimalDualSolver().solve(problem))
+        << "poison=" << poison;
+    EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput)
+        << "poison=" << poison;
+    ASSERT_EQ(solution.schedule.size(), 3u);
+    for (const auto& slot : solution.schedule) {
+      EXPECT_EQ(slot.cache, problem.initial_cache);  // safe carry-over
+    }
   }
 }
 
