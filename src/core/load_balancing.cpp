@@ -1,7 +1,9 @@
 #include "core/load_balancing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/error.hpp"
@@ -9,6 +11,9 @@
 namespace mdo::core {
 
 namespace {
+
+// key_ entry of a coordinate the exact solver's sorted order does not list.
+constexpr double kUnlisted = std::numeric_limits<double>::quiet_NaN();
 
 bool all_finite(const linalg::Vec& v) {
   for (const double value : v) {
@@ -87,8 +92,7 @@ void P2Workspace::bind(const model::SbsConfig& sbs,
   linear_finite_ = true;
   coeff_.ub.assign(size, 1.0);
   upper_finite_ = true;
-  has_solution_ = false;
-  y_.clear();  // cold start: the first solve begins at y = 0
+  reset_solve_state();
 }
 
 void P2Workspace::bind_active(const model::SbsConfig& sbs,
@@ -141,24 +145,40 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   linear_finite_ = true;
   coeff_.ub.assign(size, 1.0);
   upper_finite_ = true;
+  reset_solve_state();
+}
+
+void P2Workspace::reset_solve_state() {
   has_solution_ = false;
+  exact_solution_ = false;
   y_.clear();  // cold start: the first solve begins at y = 0
+  // The exact solver's first call re-sorts every coordinate. Sizing its
+  // buffers here keeps the solves themselves allocation-free; FISTA-only
+  // instances never use them.
+  const std::size_t size = exact_applicable_ ? coeff_.lambda.size() : 0;
+  MDO_REQUIRE(size <= std::numeric_limits<std::uint32_t>::max(),
+              "P2 workspace: too many coordinates for the exact solver");
+  order_.clear();
+  order_.reserve(size);
+  changed_.clear();
+  changed_.reserve(size);
+  key_.assign(size, kUnlisted);
 }
 
 void P2Workspace::set_linear(const double* begin, const double* end) {
   MDO_REQUIRE(bound(), "P2 workspace: bind() before set_linear()");
-  MDO_REQUIRE(static_cast<std::size_t>(end - begin) == coeff_.lambda.size(),
-              "P2 workspace: linear size");
+  const std::size_t size = static_cast<std::size_t>(end - begin);
+  MDO_REQUIRE(size == coeff_.lambda.size(), "P2 workspace: linear size");
+  // memcmp, not ==: -0.0 and 0.0 are different inputs to the exact solver.
+  if (exact_solution_ &&
+      (size == 0 ||
+       std::memcmp(coeff_.c.data(), begin, size * sizeof(double)) == 0)) {
+    return;
+  }
   coeff_.c.assign(begin, end);
   linear_finite_ = all_finite(coeff_.c);
   has_solution_ = false;
-}
-
-void P2Workspace::set_linear_zero() {
-  MDO_REQUIRE(bound(), "P2 workspace: bind() before set_linear_zero()");
-  coeff_.c.assign(coeff_.lambda.size(), 0.0);
-  linear_finite_ = true;
-  has_solution_ = false;
+  exact_solution_ = false;
 }
 
 void P2Workspace::scatter_solution(linalg::Vec& dense) const {
@@ -185,6 +205,7 @@ void P2Workspace::set_upper(const linalg::Vec& upper) {
               "P2 workspace: upper size");
   coeff_.ub = upper;
   upper_finite_ = all_finite(coeff_.ub);
+  exact_solution_ = false;
   if (upper_finite_) {
     // Non-finite bounds are reported via the solve status instead of thrown,
     // matching the legacy finite-check-before-validate order.
@@ -209,6 +230,7 @@ void P2Workspace::refresh_feasible_set() {
 void P2Workspace::solve_fista(const LoadBalancingOptions& options,
                               LoadBalancingOutcome& out) {
   const std::size_t size = coeff_.lambda.size();
+  exact_solution_ = false;
 
   double lipschitz = 2.0 * quad_norm_;
   if (lipschitz <= 1e-14) {
@@ -271,41 +293,82 @@ void P2Workspace::solve_fista(const LoadBalancingOptions& options,
 
 /// Solves the fixed-theta stationarity system of the exact solver into
 /// exact_y_, with the consistent scalar s = u . y. See the header for the
-/// math. Allocation-free once the scratch buffers reach the instance size.
+/// math. Allocation-free: bind() sized the buffers for the instance.
 void P2Workspace::stationary_point(double theta) {
   const std::size_t size = coeff_.u.size();
+  MDO_CHECK(key_.size() == size, "exact P2: sort state not sized by bind");
   exact_y_.assign(size, 0.0);
 
   // Coordinates with u_j = 0 do not move s: they activate exactly when
   // their linear coefficient (c_j + theta lambda_j) is negative.
   // Coordinates with u_j > 0 activate when phi = 2(a - s) exceeds their
-  // threshold t_j = (c_j + theta lambda_j) / u_j.
-  thresholds_.clear();
-  if (thresholds_.capacity() < size) thresholds_.reserve(size);
-  for (std::size_t j = 0; j < size; ++j) {
-    const double price = coeff_.c[j] + theta * coeff_.lambda[j];
-    if (coeff_.u[j] <= 0.0) {
-      if (price < 0.0) exact_y_[j] = coeff_.ub[j];
+  // threshold t_j = (c_j + theta lambda_j) / u_j; those with ub_j > 0 are
+  // kept in order_, sorted by (t_j, j).
+  const auto price = [&](std::size_t j) {
+    return coeff_.c[j] + theta * coeff_.lambda[j];
+  };
+  const auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  // The order std::pair<double, j> compares (threshold, j) keys in.
+  const auto before = [this](std::uint32_t x, std::uint32_t y) {
+    return key_[x] < key_[y] || (!(key_[y] < key_[x]) && x < y);
+  };
+  // 1. Walk the last order: keep (in place, still sorted) every coordinate
+  // whose threshold kept its exact bits; queue the re-keyed ones and drop
+  // the ones pinned at zero since.
+  changed_.clear();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const std::uint32_t j = order_[i];
+    const double key =
+        coeff_.ub[j] > 0.0 ? price(j) / coeff_.u[j] : kUnlisted;
+    if (same_bits(key, key_[j])) {
+      order_[kept++] = j;
       continue;
     }
-    if (coeff_.ub[j] <= 0.0) continue;  // pinned at zero
-    thresholds_.push_back({price / coeff_.u[j], j});
+    key_[j] = key;
+    if (!std::isnan(key)) changed_.push_back(j);
   }
-  std::sort(thresholds_.begin(), thresholds_.end());
+  // 2. Every coordinate not listed before: the u_j = 0 ones set y directly,
+  // the newly listed ones join the queue.
+  for (std::size_t j = 0; j < size; ++j) {
+    if (coeff_.u[j] <= 0.0) {
+      if (price(j) < 0.0) exact_y_[j] = coeff_.ub[j];
+      continue;
+    }
+    if (!std::isnan(key_[j]) || coeff_.ub[j] <= 0.0) continue;
+    key_[j] = price(j) / coeff_.u[j];
+    changed_.push_back(static_cast<std::uint32_t>(j));
+  }
+  // 3. Sort the queue and merge it in, backwards from the end, so no second
+  // list is needed (kept + queued <= size, the reserved capacity).
+  std::sort(changed_.begin(), changed_.end(), before);
+  std::size_t i = kept;
+  std::size_t k = changed_.size();
+  std::size_t out = kept + k;
+  order_.resize(out);
+  while (k > 0) {
+    if (i > 0 && before(changed_[k - 1], order_[i - 1])) {
+      order_[--out] = order_[--i];
+    } else {
+      order_[--out] = changed_[--k];
+    }
+  }
 
   // Group equal thresholds (within a tiny tolerance) so ties are split
   // fractionally rather than flip-flopped. Groups are (begin, end) ranges
-  // into the sorted thresholds array — no per-group member vectors.
+  // into order_ — no per-group member vectors.
   groups_.clear();
-  for (std::size_t i = 0; i < thresholds_.size(); ++i) {
-    const double threshold = thresholds_[i].first;
-    const std::size_t j = thresholds_[i].second;
+  for (std::size_t pos = 0; pos < order_.size(); ++pos) {
+    const std::size_t j = order_[pos];
+    const double threshold = key_[j];
     if (groups_.empty() ||
         threshold >
             groups_.back().threshold + 1e-12 * (1.0 + std::abs(threshold))) {
-      groups_.push_back({threshold, i, i, 0.0});
+      groups_.push_back({threshold, pos, pos, 0.0});
     }
-    groups_.back().end = i + 1;
+    groups_.back().end = pos + 1;
     groups_.back().mass += coeff_.u[j] * coeff_.ub[j];
   }
 
@@ -348,15 +411,15 @@ void P2Workspace::stationary_point(double theta) {
   }
 
   for (std::size_t g = 0; g < active_groups; ++g) {
-    for (std::size_t i = groups_[g].begin; i < groups_[g].end; ++i) {
-      const std::size_t j = thresholds_[i].second;
+    for (std::size_t pos = groups_[g].begin; pos < groups_[g].end; ++pos) {
+      const std::size_t j = order_[pos];
       exact_y_[j] = coeff_.ub[j];
     }
   }
   if (solved_group < groups_.size()) {
-    for (std::size_t i = groups_[solved_group].begin;
-         i < groups_[solved_group].end; ++i) {
-      const std::size_t j = thresholds_[i].second;
+    for (std::size_t pos = groups_[solved_group].begin;
+         pos < groups_[solved_group].end; ++pos) {
+      const std::size_t j = order_[pos];
       exact_y_[j] = fraction * coeff_.ub[j];
     }
   }
@@ -426,6 +489,7 @@ void P2Workspace::solve_exact(LoadBalancingOutcome& out) {
   const double bs_term = coeff_.a - linalg::dot(coeff_.u, y_);
   out.objective = bs_term * bs_term + linalg::dot(coeff_.c, y_);
   has_solution_ = true;
+  exact_solution_ = true;
 }
 
 LoadBalancingOutcome solve_load_balancing(P2Workspace& ws,
@@ -439,13 +503,15 @@ LoadBalancingOutcome solve_load_balancing(P2Workspace& ws,
     out.status = solver::SolveStatus::kNonFiniteInput;
     out.converged = false;
     ws.has_solution_ = true;
+    ws.exact_solution_ = false;
     return out;
   }
   if (options.prefer_exact && ws.exact_applicable_) {
-    ws.solve_exact(out);
-  } else {
-    ws.solve_fista(options, out);
+    // Unchanged (c, ub) since the last exact solve: its answer stands.
+    if (!ws.exact_solution_) ws.solve_exact(ws.exact_outcome_);
+    return ws.exact_outcome_;
   }
+  ws.solve_fista(options, out);
   return out;
 }
 

@@ -30,7 +30,27 @@
 // solve heap-allocates nothing once its buffers reach the instance size,
 // and returns bit-identical results to the legacy entry points (which are
 // now thin wrappers over a throwaway workspace).
+//
+// The exact solver also keeps two things from one call to the next, both
+// dropped by bind()/bind_active() and neither able to change a bit of the
+// result:
+//   - Its sorted threshold order. Between dual iterations most multipliers,
+//     and so most thresholds (c_j + theta lambda_j) / u_j, keep their exact
+//     bits. Each stationary-point pass re-sorts only the coordinates whose
+//     threshold changed (or that entered or left the u_j > 0, ub_j > 0
+//     set) and merges them into the unchanged ones. Keys are (threshold, j)
+//     pairs, unique because j breaks ties, so the merged order is the one a
+//     full sort gives, and the groups, masses and y follow bit for bit.
+//   - Its last solution. An exact solve is a pure function of (coefficients,
+//     c, ub) — the bandwidth polish starts from the bisection's own point,
+//     never from the warm start — so when set_linear() receives the same c,
+//     bit for bit, the next exact solve returns the kept y and outcome. A
+//     FISTA solution depends on its warm start and is always re-solved.
+
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "linalg/vec.hpp"
 #include "model/decision.hpp"
@@ -127,9 +147,10 @@ class P2Workspace {
   bool compact() const { return compact_; }
   const std::vector<std::size_t>& active() const { return active_; }
 
-  /// Copies [begin, end) into the linear term c. Size must match.
+  /// Copies [begin, end) into the linear term c. Size must match. A c equal
+  /// bit for bit to the current one keeps an exact solution (see the file
+  /// comment); any other c drops the solution.
   void set_linear(const double* begin, const double* end);
-  void set_linear_zero();
 
   /// Writes the solution into a dense (m * K + k) vector: verbatim copy for
   /// a dense binding, scatter over the active set for a compact one (the
@@ -144,8 +165,13 @@ class P2Workspace {
   const linalg::Vec& upper() const { return coeff_.ub; }
 
   /// The last solution (after a solve), doubling as the next warm start.
+  /// Handing out write access drops the solution: the next solve re-solves.
   const linalg::Vec& y() const { return y_; }
-  linalg::Vec& warm_start() { return y_; }
+  linalg::Vec& warm_start() {
+    has_solution_ = false;
+    exact_solution_ = false;
+    return y_;
+  }
 
   /// True when the workspace holds the solution of the current
   /// (bind, c, ub) state — callers may skip a re-solve (the repair loop's
@@ -171,6 +197,10 @@ class P2Workspace {
   bool upper_finite_ = true;
   bool exact_applicable_ = false;
   bool has_solution_ = false;
+  // y_ is solve_exact()'s answer for the current state; exact_outcome_ is
+  // its outcome, returned again while the state stays unchanged.
+  bool exact_solution_ = false;
+  LoadBalancingOutcome exact_outcome_;
 
   bool inputs_finite() const {
     return bind_finite_ && linear_finite_ && upper_finite_;
@@ -182,19 +212,25 @@ class P2Workspace {
   solver::BoxKnapsackSet feasible_;
   solver::FirstOrderWorkspace first_order_;
 
-  // Exact-solver scratch: flat sorted thresholds plus group ranges into
-  // them (the legacy per-group member vectors were one heap allocation per
-  // group per bisection probe).
+  // Exact-solver state, kept across stationary_point() calls (see the file
+  // comment). order_ lists the coordinates with u_j > 0 and ub_j > 0 sorted
+  // by (key_[j], j); key_[j] is coordinate j's threshold at the last call,
+  // NaN when it was not listed. changed_ collects the coordinates to
+  // re-insert. bind()/bind_active() size all three for the instance.
+  std::vector<std::uint32_t> order_;
+  linalg::Vec key_;
+  std::vector<std::uint32_t> changed_;
+  // Groups of (near-)equal thresholds, as ranges into order_.
   struct GroupRange {
     double threshold = 0.0;
-    std::size_t begin = 0;  // range into thresholds_
+    std::size_t begin = 0;
     std::size_t end = 0;
     double mass = 0.0;  // sum of u_j * ub_j over the range
   };
-  std::vector<std::pair<double, std::size_t>> thresholds_;
   std::vector<GroupRange> groups_;
   linalg::Vec exact_y_;  // stationary-point candidate
 
+  void reset_solve_state();
   void refresh_feasible_set();
   void stationary_point(double theta);
   void solve_exact(LoadBalancingOutcome& out);

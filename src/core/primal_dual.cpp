@@ -130,14 +130,14 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // lambda; off-support the subgradient is -x <= 0 and the projection pins
   // mu at 0), so the compact vector stores exactly the active coordinates
   // and nothing else (DESIGN.md §12).
-  ActiveSets sets = build_active_sets(config, demand, problem.initial_cache);
-  const std::vector<std::size_t> mu_off = mu_block_offsets(config, w, sets);
+  build_active_sets(config, demand, problem.initial_cache, sets_);
+  mu_block_offsets(config, w, sets_, mu_off_);
 
   // ---- Initialize multipliers at the marginal BS cost: for SBS n at slot
   // t the gradient of f at y = 0 is 2 * a * u_j, with a the omega-weighted
   // total demand. Its mean over all w * sum_n M_n * K coordinates (the
   // off-support ones are exact zeros) also sets the automatic step size.
-  linalg::Vec mu(mu_off.back(), 0.0);
+  linalg::Vec mu(mu_off_.back(), 0.0);
   double mean_marginal = 0.0;
   {
     // Rows and active lists are both content-sorted, so one forward
@@ -156,8 +156,8 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
           }
           a += sbs.classes[m].omega_bs * row;
         }
-        const std::vector<std::size_t>& al = sets.active[t * num_sbs + n];
-        double* block = mu.data() + mu_off[t * num_sbs + n];
+        const std::vector<std::size_t>& al = sets_.active[t * num_sbs + n];
+        double* block = mu.data() + mu_off_[t * num_sbs + n];
         const std::size_t a_count = al.size();
         for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
           std::size_t pos = 0;
@@ -202,7 +202,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     linalg::Vec scratch(k_count);
     for (std::size_t n = 0; n < num_sbs; ++n) {
       if (receivers[n].empty()) continue;  // empty vector = no tilt
-      const std::vector<std::size_t>& list = sets.p1_list[n];
+      const std::vector<std::size_t>& list = sets_.p1_list[n];
       neighbor_rewards[n].assign(w * list.size(), 0.0);
       for (std::size_t t = 0; t < w; ++t) {
         scratch.assign(k_count, 0.0);
@@ -232,9 +232,9 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
 
   // One full-range ShardCore runs the per-SBS passes (see shard_core.cpp);
   // every reduction stays below in serial index order.
-  ShardCore core;
+  ShardCore& core = core_;
   core.begin(inputs, options_.backend, options_.load_balancing, bank_,
-             p1_bank_, std::move(sets));
+             p1_bank_, sets_, mu_off_);
 
   HorizonSolution best;
   best.upper_bound = kInf;

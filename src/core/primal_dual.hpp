@@ -135,10 +135,11 @@ class PrimalDualSolver {
   /// status with a safe fallback schedule (see HorizonSolution::status).
   ///
   /// Non-const only because the solver keeps the per-(slot, SBS) P2
-  /// workspace bank, the per-SBS P1 bank and the sparse copy of a dense
-  /// window as reusable buffers (the zero-allocation hot path); every
-  /// workspace is re-bound, with a cold P2 start and a P1 network rebuilt
-  /// in place, at the top of each solve.
+  /// workspace bank, the per-SBS P1 bank, the active-set structures, the
+  /// shard core and the sparse copy of a dense window as reusable buffers
+  /// (the zero-allocation hot path); every workspace is re-bound, with a
+  /// cold P2 start and a P1 network rebuilt in place, at the top of each
+  /// solve.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -155,6 +156,9 @@ class PrimalDualSolver {
   PrimalDualOptions options_;
   std::vector<CellState> bank_;  // cell = t * num_sbs + n; buffers only
   std::vector<P1State> p1_bank_;  // per SBS; buffers only
+  ActiveSets sets_;                // rebuilt every solve; buffers only
+  std::vector<std::size_t> mu_off_;  // mu_block_offsets of sets_
+  ShardCore core_;                 // re-begun every solve; buffers only
   model::SparseDemandTrace window_;  // sparse copy of a dense window
 };
 

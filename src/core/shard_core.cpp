@@ -9,31 +9,69 @@
 
 namespace mdo::core {
 
+namespace {
+
+/// list := list ∪ cell for two sorted, duplicate-free lists, in place: count
+/// the union, grow the list to it, then merge backwards from the end, which
+/// never overwrites an unread entry of the list.
+void union_into(std::vector<std::size_t>& list,
+                const std::vector<std::size_t>& cell) {
+  std::size_t i = 0;
+  std::size_t k = 0;
+  std::size_t count = 0;
+  while (i < list.size() && k < cell.size()) {
+    if (list[i] <= cell[k]) {
+      if (list[i] == cell[k]) ++k;
+      ++i;
+    } else {
+      ++k;
+    }
+    ++count;
+  }
+  count += (list.size() - i) + (cell.size() - k);
+  i = list.size();
+  k = cell.size();
+  list.resize(count);
+  while (k > 0) {
+    if (i > 0 && list[i - 1] >= cell[k - 1]) {
+      if (list[i - 1] == cell[k - 1]) --k;
+      list[--count] = list[--i];
+    } else {
+      list[--count] = cell[--k];
+    }
+  }
+}
+
+}  // namespace
+
 ActiveSets build_active_sets(const model::NetworkConfig& config,
                              const model::SparseDemandTrace& demand,
                              const model::CacheState& initial_cache) {
+  ActiveSets sets;
+  build_active_sets(config, demand, initial_cache, sets);
+  return sets;
+}
+
+void build_active_sets(const model::NetworkConfig& config,
+                       const model::SparseDemandTrace& demand,
+                       const model::CacheState& initial_cache,
+                       ActiveSets& sets) {
   const std::size_t w = demand.horizon();
   const std::size_t num_sbs = config.num_sbs();
-  ActiveSets sets;
   sets.active.resize(w * num_sbs);
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
-    sets.active[cell] =
-        model::active_contents(demand.slot(t)[n], initial_cache, n);
+    model::active_contents(demand.slot(t)[n], initial_cache, n,
+                           sets.active[cell]);
   });
   sets.p1_list.resize(num_sbs);
   sets.cell_p1.resize(w * num_sbs);
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
     std::vector<std::size_t>& list = sets.p1_list[n];
-    std::vector<std::size_t> merged;
+    list.clear();
     for (std::size_t t = 0; t < w; ++t) {
-      const std::vector<std::size_t>& cell = sets.active[t * num_sbs + n];
-      merged.clear();
-      merged.reserve(list.size() + cell.size());
-      std::set_union(list.begin(), list.end(), cell.begin(), cell.end(),
-                     std::back_inserter(merged));
-      list.swap(merged);
+      union_into(list, sets.active[t * num_sbs + n]);
     }
     for (std::size_t t = 0; t < w; ++t) {
       const std::vector<std::size_t>& cell = sets.active[t * num_sbs + n];
@@ -48,29 +86,36 @@ ActiveSets build_active_sets(const model::NetworkConfig& config,
       }
     }
   });
-  return sets;
 }
 
 std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
                                           std::size_t horizon,
                                           const ActiveSets& sets) {
+  std::vector<std::size_t> offsets;
+  mu_block_offsets(config, horizon, sets, offsets);
+  return offsets;
+}
+
+void mu_block_offsets(const model::NetworkConfig& config, std::size_t horizon,
+                      const ActiveSets& sets,
+                      std::vector<std::size_t>& offsets) {
   const std::size_t num_sbs = config.num_sbs();
   const std::size_t cells = horizon * num_sbs;
   MDO_REQUIRE(sets.active.size() == cells,
               "mu_block_offsets: active sets do not match the horizon");
-  std::vector<std::size_t> offsets(cells + 1, 0);
+  offsets.assign(cells + 1, 0);
   for (std::size_t cell = 0; cell < cells; ++cell) {
     const std::size_t n = cell % num_sbs;
     offsets[cell + 1] = offsets[cell] + config.sbs[n].num_classes() *
                                             sets.active[cell].size();
   }
-  return offsets;
 }
 
 void ShardCore::begin(const ShardInputs& in, P1Backend backend,
                       const LoadBalancingOptions& load_balancing,
                       std::vector<CellState>& bank,
-                      std::vector<P1State>& p1_bank, ActiveSets sets) {
+                      std::vector<P1State>& p1_bank, const ActiveSets& sets,
+                      const std::vector<std::size_t>& mu_off) {
   MDO_REQUIRE(in.config != nullptr && in.demand != nullptr &&
                   in.initial_cache != nullptr,
               "shard core: config, demand and initial cache must be set");
@@ -79,10 +124,13 @@ void ShardCore::begin(const ShardInputs& in, P1Backend backend,
   load_balancing_ = load_balancing;
   config_ = in.config;
   horizon_ = in.demand->horizon();
-  sets_ = std::move(sets);
+  sets_ = &sets;
+  mu_off_ = &mu_off;
   bank_ = &bank;
   p1_ = &p1_bank;
-  mu_off_ = mu_block_offsets(*config_, horizon_, sets_);
+  MDO_REQUIRE(sets.active.size() == horizon_ * config_->num_sbs() &&
+                  mu_off.size() == sets.active.size() + 1,
+              "shard core: active sets do not match the window");
 
   const auto& config = *config_;
   const std::size_t w = horizon_;
@@ -98,8 +146,8 @@ void ShardCore::begin(const ShardInputs& in, P1Backend backend,
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
     const model::SparseSbsDemand& demand = inputs_.demand->slot(t)[n];
-    cs.p2.bind_active(config.sbs[n], demand, sets_.active[cell]);
-    cs.repair.bind_active(config.sbs[n], demand, sets_.active[cell]);
+    cs.p2.bind_active(config.sbs[n], demand, sets_->active[cell]);
+    cs.repair.bind_active(config.sbs[n], demand, sets_->active[cell]);
   });
 
   // ---- Per-SBS P1 state, reused across dual iterations: the subproblem's
@@ -117,7 +165,7 @@ void ShardCore::begin(const ShardInputs& in, P1Backend backend,
     // `capacity` units, surplus ones through the zero-cost pool chain, so
     // clamping capacity to the restricted catalogue only removes pool
     // augmentations and leaves x unchanged.
-    const std::vector<std::size_t>& list = sets_.p1_list[n];
+    const std::vector<std::size_t>& list = sets_->p1_list[n];
     const std::size_t kp = list.size();
     sub.num_contents = kp;
     sub.horizon = w;
@@ -146,7 +194,8 @@ void ShardCore::iterate(const linalg::Vec& mu) {
   const std::size_t num_sbs = config.num_sbs();
   std::vector<CellState>& bank = *bank_;
   std::vector<P1State>& p1_bank = *p1_;
-  MDO_REQUIRE(mu.size() == mu_off_.back(),
+  const std::vector<std::size_t>& mu_off = *mu_off_;
+  MDO_REQUIRE(mu.size() == mu_off.back(),
               "shard core: compact mu size mismatch");
 
   // ---- P1 + P2, ONE fused task-pool submission per dual iteration. The
@@ -174,8 +223,8 @@ void ShardCore::iterate(const linalg::Vec& mu) {
       for (std::size_t t = 0; t < w; ++t) {
         // Contiguous reads straight out of the cell's compact block, summed
         // over classes in ascending order.
-        const std::vector<std::size_t>& map = sets_.cell_p1[t * num_sbs + n];
-        const double* block = mu.data() + mu_off_[t * num_sbs + n];
+        const std::vector<std::size_t>& map = sets_->cell_p1[t * num_sbs + n];
+        const double* block = mu.data() + mu_off[t * num_sbs + n];
         const std::size_t a_count = map.size();
         for (std::size_t m = 0; m < classes; ++m) {
           for (std::size_t i = 0; i < a_count; ++i) {
@@ -209,7 +258,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
     // (class-major over active positions): a straight contiguous copy.
     const std::size_t cell = task - num_sbs;
     CellState& cs = bank[cell];
-    cs.p2.set_linear(mu.data() + mu_off_[cell], mu.data() + mu_off_[cell + 1]);
+    cs.p2.set_linear(mu.data() + mu_off[cell], mu.data() + mu_off[cell + 1]);
     p2_objectives_[cell] =
         solve_load_balancing(cs.p2, load_balancing_).objective;
   });
@@ -231,8 +280,8 @@ void ShardCore::repair(model::Schedule& schedule) {
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
     const std::size_t classes = config.sbs[n].num_classes();
-    const std::vector<std::size_t>& al = sets_.active[cell];
-    const std::vector<std::size_t>& map = sets_.cell_p1[cell];
+    const std::vector<std::size_t>& al = sets_->active[cell];
+    const std::vector<std::size_t>& map = sets_->cell_p1[cell];
     const P1State& p1 = (*p1_)[n];
     const std::size_t kp = p1.sub.num_contents;
     const std::size_t a_count = al.size();
@@ -261,6 +310,7 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
   std::vector<CellState>& bank = *bank_;
+  const std::vector<std::size_t>& mu_off = *mu_off_;
 
   // ---- Projected subgradient ascent on mu: g = y - x (17), over the
   // active coordinates only (off the active set y = 0 and x = 0, so the
@@ -276,7 +326,7 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
     // Expand the P1 bits for this cell once, then run the fused
     // max(0, mu + delta*(y - x)) kernel row by row over the contiguous
     // block.
-    const std::vector<std::size_t>& map = sets_.cell_p1[cell];
+    const std::vector<std::size_t>& map = sets_->cell_p1[cell];
     const P1State& p1 = (*p1_)[n];
     const std::size_t kp = p1.sub.num_contents;
     const std::size_t a_count = map.size();
@@ -284,7 +334,7 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
     for (std::size_t i = 0; i < a_count; ++i) {
       cs.xd[i] = static_cast<double>(p1.x[t * kp + map[i]]);
     }
-    double* block = mu.data() + mu_off_[cell];
+    double* block = mu.data() + mu_off[cell];
     for (std::size_t m = 0; m < classes; ++m) {
       linalg::dual_ascent_project(block + m * a_count, y.data() + m * a_count,
                                   cs.xd.data(), delta, a_count);

@@ -61,9 +61,10 @@ struct P1State {
 /// Active-set index structures, deterministic functions of (demand window,
 /// initial cache): per-cell active sets (support union cached), the per-SBS
 /// sorted union over the window (P1's restricted content list), and the
-/// per-cell map from active position to P1 position. Built once per solve by
-/// the solver, which sizes the compact mu from them and then moves them
-/// into ShardCore::begin.
+/// per-cell map from active position to P1 position. The solver rebuilds
+/// them once per solve into a copy it keeps across solves (so the vectors
+/// keep their capacity), sizes the compact mu from them and hands both to
+/// ShardCore::begin.
 struct ActiveSets {
   std::vector<std::vector<std::size_t>> active;   // per cell
   std::vector<std::vector<std::size_t>> p1_list;  // per SBS, sorted union
@@ -73,6 +74,11 @@ struct ActiveSets {
 ActiveSets build_active_sets(const model::NetworkConfig& config,
                              const model::SparseDemandTrace& demand,
                              const model::CacheState& initial_cache);
+/// Same, rebuilt in place: `sets` keeps the capacity of its vectors.
+void build_active_sets(const model::NetworkConfig& config,
+                       const model::SparseDemandTrace& demand,
+                       const model::CacheState& initial_cache,
+                       ActiveSets& sets);
 
 /// Block offsets of the COMPACT mu vector: cell = t * num_sbs + n owns the
 /// half-open range [offsets[cell], offsets[cell + 1]), which holds its
@@ -82,6 +88,10 @@ ActiveSets build_active_sets(const model::NetworkConfig& config,
 std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
                                           std::size_t horizon,
                                           const ActiveSets& sets);
+/// Same, written into `offsets` (its capacity is reused).
+void mu_block_offsets(const model::NetworkConfig& config, std::size_t horizon,
+                      const ActiveSets& sets,
+                      std::vector<std::size_t>& offsets);
 
 /// Non-owning window problem handed to ShardCore.
 struct ShardInputs {
@@ -102,13 +112,14 @@ class ShardCore {
   /// Binds the core to a window problem. `bank` (cell = t * num_sbs + n)
   /// and `p1_bank` (per SBS), both resized here, must outlive the core's
   /// use; begin() re-binds their workspaces to the new window, each P2
-  /// starting cold and each P1 network rebuilt in place. `sets` must be
-  /// the structures build_active_sets returns for these inputs (moved in so
-  /// the solver, which also needs them, builds them once).
+  /// starting cold and each P1 network rebuilt in place. `sets` and
+  /// `mu_off` must be what build_active_sets and mu_block_offsets give for
+  /// these inputs; the core reads them in place (the solver, which also
+  /// needs them, builds them once), so they too must outlive its use.
   void begin(const ShardInputs& in, P1Backend backend,
              const LoadBalancingOptions& load_balancing,
              std::vector<CellState>& bank, std::vector<P1State>& p1_bank,
-             ActiveSets sets);
+             const ActiveSets& sets, const std::vector<std::size_t>& mu_off);
 
   /// One dual iteration's P1 (caching per SBS under rewards nu = sum_m mu)
   /// and P2 (load balancing per cell with linear term mu) passes, batched
@@ -141,8 +152,8 @@ class ShardCore {
   P1Backend backend_ = P1Backend::kFlow;
   LoadBalancingOptions load_balancing_;
   std::size_t horizon_ = 0;
-  std::vector<std::size_t> mu_off_;
-  ActiveSets sets_;
+  const std::vector<std::size_t>* mu_off_ = nullptr;
+  const ActiveSets* sets_ = nullptr;
   std::vector<CellState>* bank_ = nullptr;
   std::vector<P1State>* p1_ = nullptr;
   std::vector<double> p1_objectives_;

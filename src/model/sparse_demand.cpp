@@ -239,8 +239,15 @@ SparseSlotDemand make_zero_sparse_slot_demand(const NetworkConfig& config) {
 std::vector<std::size_t> active_contents(const SparseSbsDemand& demand,
                                          const CacheState& cache,
                                          std::size_t n) {
-  const std::vector<std::size_t>& sup = demand.support();
   std::vector<std::size_t> active;
+  active_contents(demand, cache, n, active);
+  return active;
+}
+
+void active_contents(const SparseSbsDemand& demand, const CacheState& cache,
+                     std::size_t n, std::vector<std::size_t>& active) {
+  const std::vector<std::size_t>& sup = demand.support();
+  active.clear();
   active.reserve(sup.size() + cache.count(n));
   std::size_t si = 0;
   for (std::size_t k = 0; k < demand.num_contents(); ++k) {
@@ -248,7 +255,6 @@ std::vector<std::size_t> active_contents(const SparseSbsDemand& demand,
     if (in_support) ++si;
     if (in_support || cache.cached(n, k)) active.push_back(k);
   }
-  return active;
 }
 
 double sbs_load(const LoadAllocation& load, std::size_t n,

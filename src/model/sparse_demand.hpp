@@ -162,6 +162,9 @@ SparseSlotDemand make_zero_sparse_slot_demand(const NetworkConfig& config);
 std::vector<std::size_t> active_contents(const SparseSbsDemand& demand,
                                          const CacheState& cache,
                                          std::size_t n);
+/// Same, written into `active` (its capacity is reused).
+void active_contents(const SparseSbsDemand& demand, const CacheState& cache,
+                     std::size_t n, std::vector<std::size_t>& active);
 
 class SbsDemandView;
 

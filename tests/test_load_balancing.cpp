@@ -1,7 +1,13 @@
 // Tests for the load-balancing subproblem P2.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/load_balancing.hpp"
 #include "util/error.hpp"
@@ -283,6 +289,189 @@ TEST_P(ExactVsFistaTest, ObjectivesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ExactVsFistaTest,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+// ------------------------------------------------ P2Workspace solve state ----
+
+bool same_bits(const linalg::Vec& a, const linalg::Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void set_linear(P2Workspace& ws, const linalg::Vec& c) {
+  ws.set_linear(c.data(), c.data() + c.size());
+}
+
+/// Solves (cell, c, ub) on a freshly bound workspace and checks that `warm`
+/// holds the same y and outcome, bit for bit.
+void expect_matches_cold(const P2Workspace& warm,
+                         const LoadBalancingOutcome& got, const Fixture& cell,
+                         const linalg::Vec& c, const linalg::Vec& ub,
+                         const std::string& step) {
+  P2Workspace cold;
+  cold.bind(cell.sbs, cell.demand);
+  set_linear(cold, c);
+  cold.set_upper(ub);
+  const LoadBalancingOutcome want = solve_load_balancing(cold, {});
+  EXPECT_TRUE(same_bits(warm.y(), cold.y())) << step;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+            std::bit_cast<std::uint64_t>(want.objective))
+      << step;
+  EXPECT_EQ(got.iterations, want.iterations) << step;
+  EXPECT_EQ(got.converged, want.converged) << step;
+  EXPECT_EQ(got.status, want.status) << step;
+}
+
+/// Property: one workspace driven through a seeded sequence of partial
+/// linear-term changes, repeated linear terms, upper-bound changes and
+/// rebinds always returns what a cold workspace returns for the same
+/// state. Rates, class weights and multipliers come from small sets, so
+/// thresholds tie exactly across coordinates; zero rates and a zero class
+/// weight give u_j = 0 coordinates; one cell's bandwidth row binds, so the
+/// bisection and the FISTA polish run.
+TEST(P2WorkspaceState, WarmWorkspaceMatchesColdBitForBit) {
+  constexpr std::size_t kClasses = 3;
+  constexpr std::size_t kContents = 8;
+  constexpr std::size_t kSize = kClasses * kContents;
+  Rng rng(20261020);
+  std::vector<Fixture> cells;
+  for (const double bandwidth : {100.0, 100.0, 0.5}) {
+    Fixture& cell = cells.emplace_back(kClasses, kContents, bandwidth);
+    for (auto& mu : cell.sbs.classes) {
+      mu.omega_bs = rng.bernoulli(0.5) ? 1.0 : 0.5;
+    }
+    for (auto& v : cell.demand.data()) v = 0.25 * rng.uniform_int(0, 2);
+  }
+  cells[1].sbs.classes[2].omega_bs = 0.0;
+
+  const double c_values[] = {-0.0, 0.0, 0.1, 0.2, 0.5, -0.1, 1.0};
+  linalg::Vec c(kSize, 0.0);
+  linalg::Vec ub(kSize, 1.0);
+  std::size_t current = 0;
+  std::size_t bisections = 0;
+  std::size_t repeats = 0;
+  P2Workspace warm;
+  warm.bind(cells[current].sbs, cells[current].demand);
+  for (int step = 0; step < 600; ++step) {
+    const std::int64_t action = rng.uniform_int(0, 9);
+    if (action <= 4) {
+      for (auto& value : c) {
+        if (rng.bernoulli(0.15)) value = c_values[rng.uniform_int(0, 6)];
+      }
+      set_linear(warm, c);
+    } else if (action == 5) {
+      set_linear(warm, c);  // the same c, bit for bit
+      ++repeats;
+    } else if (action <= 7) {
+      for (auto& bound : ub) {
+        if (rng.bernoulli(0.2)) bound = rng.bernoulli(0.5) ? 0.0 : 1.0;
+      }
+      warm.set_upper(ub);
+    } else {
+      current = (current + 1 + rng.uniform_int(0, 1)) % cells.size();
+      warm.bind(cells[current].sbs, cells[current].demand);
+      c.assign(kSize, 0.0);
+      ub.assign(kSize, 1.0);
+    }
+    const LoadBalancingOutcome got = solve_load_balancing(warm, {});
+    if (got.iterations > 1) ++bisections;
+    expect_matches_cold(warm, got, cells[current], c, ub,
+                        "step " + std::to_string(step));
+  }
+  EXPECT_GT(bisections, 10u);
+  EXPECT_GT(repeats, 10u);
+}
+
+TEST(P2WorkspaceState, ExactSkipNeverServesAStaleSolution) {
+  Fixture fx(2, 3, 100.0);
+  Fixture other(2, 3, 1.0);  // bandwidth-bound: y differs from fx's
+  for (std::size_t j = 0; j < 6; ++j) {
+    fx.demand.data()[j] = 0.5 + 0.1 * static_cast<double>(j);
+    other.demand.data()[j] = 1.0 - 0.1 * static_cast<double>(j);
+  }
+  const linalg::Vec c = {0.1, 0.3, 0.0, 0.2, 0.4, 0.1};
+  const linalg::Vec zero(6, 0.0);
+  const linalg::Vec ones(6, 1.0);
+
+  P2Workspace ws;
+  ws.bind(fx.sbs, fx.demand);
+  set_linear(ws, c);
+  solve_load_balancing(ws, {});
+  const linalg::Vec served = ws.y();
+  ASSERT_GT(served[5], 0.0);
+
+  // A non-finite c, repeated, and then the finite c from before.
+  linalg::Vec poisoned = c;
+  poisoned[1] = std::numeric_limits<double>::quiet_NaN();
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    set_linear(ws, poisoned);
+    EXPECT_EQ(solve_load_balancing(ws, {}).status,
+              solver::SolveStatus::kNonFiniteInput);
+    EXPECT_TRUE(same_bits(ws.y(), zero));
+  }
+  set_linear(ws, c);
+  const LoadBalancingOutcome again = solve_load_balancing(ws, {});
+  EXPECT_EQ(again.status, solver::SolveStatus::kConverged);
+  EXPECT_TRUE(same_bits(ws.y(), served));
+
+  // A changed upper bound, with the same c.
+  linalg::Vec ub = ones;
+  ub[5] = 0.0;
+  ws.set_upper(ub);
+  set_linear(ws, c);
+  const LoadBalancingOutcome capped = solve_load_balancing(ws, {});
+  EXPECT_EQ(ws.y()[5], 0.0);
+  expect_matches_cold(ws, capped, fx, c, ub, "after set_upper");
+
+  // A rebind to another cell, with the same (zero) c.
+  ws.bind(fx.sbs, fx.demand);
+  set_linear(ws, zero);
+  solve_load_balancing(ws, {});
+  const linalg::Vec first_cell = ws.y();
+  ws.bind(other.sbs, other.demand);
+  set_linear(ws, zero);
+  const LoadBalancingOutcome rebound = solve_load_balancing(ws, {});
+  EXPECT_FALSE(same_bits(ws.y(), first_cell));
+  expect_matches_cold(ws, rebound, other, zero, ones, "after rebind");
+}
+
+TEST(P2WorkspaceState, RepeatedLinearTermStillRunsFista) {
+  Fixture fx(2, 3, 100.0);
+  for (std::size_t j = 0; j < 6; ++j) {
+    fx.demand.data()[j] = 0.5 + 0.1 * static_cast<double>(j);
+  }
+  const linalg::Vec c = {0.1, 0.3, 0.0, 0.2, 0.4, 0.1};
+  LoadBalancingOptions few;
+  few.first_order.max_iterations = 3;
+  few.first_order.gradient_tolerance = 1e-14;
+
+  // An exact solution does not stand in for a FISTA solve of the same c.
+  // The bandwidth row binds, so the exact solve bisects (many iterations).
+  Fixture tight = fx;
+  tight.sbs.bandwidth = 1.0;
+  P2Workspace ws;
+  ws.bind(tight.sbs, tight.demand);
+  set_linear(ws, c);
+  const LoadBalancingOutcome exact = solve_load_balancing(ws, {});
+  ASSERT_GT(exact.iterations, 3u);
+  LoadBalancingOptions fista = few;
+  fista.prefer_exact = false;
+  set_linear(ws, c);
+  EXPECT_LE(solve_load_balancing(ws, fista).iterations, 3u);
+
+  // With omega_sbs > 0 every solve is FISTA, which continues from its warm
+  // start: a repeated c moves y again.
+  for (auto& mu : fx.sbs.classes) mu.omega_sbs = 0.3;
+  ws.bind(fx.sbs, fx.demand);
+  set_linear(ws, c);
+  const LoadBalancingOutcome first = solve_load_balancing(ws, few);
+  ASSERT_FALSE(first.converged);
+  const linalg::Vec y1 = ws.y();
+  set_linear(ws, c);
+  const LoadBalancingOutcome second = solve_load_balancing(ws, few);
+  EXPECT_EQ(second.iterations, 3u);
+  EXPECT_FALSE(same_bits(ws.y(), y1));
+}
 
 // ------------------------------------------------- optimal_load_for_cache ----
 
