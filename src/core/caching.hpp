@@ -9,9 +9,11 @@
 //
 // Theorem 1 proves the {0,1} relaxation to [0,1] is exact (total
 // unimodularity). We provide three interchangeable exact solvers:
-//   * solve_caching_flow     — time-expanded min-cost-flow (default; the
-//                              constructive counterpart of Theorem 1),
-//   * solve_caching_simplex  — the paper's LP + simplex route,
+//   * solve_caching_flow     — time-expanded min-cost-flow (the one
+//                              Algorithm 1 runs; the constructive
+//                              counterpart of Theorem 1),
+//   * solve_caching_simplex  — the paper's LP + simplex route (the tests'
+//                              reference),
 //   * solve_caching_brute_force — exhaustive search for tiny instances
 //                              (tests cross-check all three).
 #pragma once

@@ -93,8 +93,6 @@ PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
   MDO_REQUIRE(options_.epsilon > 0.0, "epsilon must be positive");
   MDO_REQUIRE(options_.step_alpha > 0.0, "step_alpha must be positive");
   MDO_REQUIRE(options_.step_scale >= 0.0, "step_scale must be >= 0");
-  MDO_REQUIRE(options_.p1_neighbor_price >= 0.0,
-              "p1_neighbor_price must be >= 0");
 }
 
 HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
@@ -185,56 +183,16 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
                                 ? options_.step_scale
                                 : std::max(1e-9, 0.5 * mean_marginal);
 
-  // ---- Optional neighbor-demand tilt of P1 (see the option comment):
-  // constant per-(n, k, t) reward addends in the P1 layout, computed HERE,
-  // serially, from the topology and the window demand — the same values at
-  // every thread count.
-  std::vector<linalg::Vec> neighbor_rewards;
-  if (options_.p1_neighbor_price > 0.0 && config.has_neighbor_tier()) {
-    // receivers[n] = peers holding a positive-bandwidth fetch link -> n.
-    std::vector<std::vector<std::size_t>> receivers(num_sbs);
-    for (std::size_t r = 0; r < num_sbs; ++r) {
-      for (const model::NeighborLink& link : config.topology.links[r]) {
-        if (link.bandwidth > 0.0) receivers[link.peer].push_back(r);
-      }
-    }
-    neighbor_rewards.resize(num_sbs);
-    linalg::Vec scratch(k_count);
-    for (std::size_t n = 0; n < num_sbs; ++n) {
-      if (receivers[n].empty()) continue;  // empty vector = no tilt
-      const std::vector<std::size_t>& list = sets_.p1_list[n];
-      neighbor_rewards[n].assign(w * list.size(), 0.0);
-      for (std::size_t t = 0; t < w; ++t) {
-        scratch.assign(k_count, 0.0);
-        for (const std::size_t r : receivers[n]) {
-          const auto& dem = demand.slot(t)[r];
-          for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
-            for (const model::DemandEntry* it = dem.row_begin(m);
-                 it != dem.row_end(m); ++it) {
-              scratch[it->content] += it->rate;
-            }
-          }
-        }
-        double* row = neighbor_rewards[n].data() + t * list.size();
-        for (std::size_t i = 0; i < list.size(); ++i) {
-          row[i] = options_.p1_neighbor_price * scratch[list[i]];
-        }
-      }
-    }
-  }
-
   ShardInputs inputs;
   inputs.config = problem.config;
   inputs.demand = &demand;
   inputs.initial_cache = &problem.initial_cache;
-  inputs.neighbor_rewards =
-      neighbor_rewards.empty() ? nullptr : &neighbor_rewards;
 
   // One full-range ShardCore runs the per-SBS passes (see shard_core.cpp);
   // every reduction stays below in serial index order.
   ShardCore& core = core_;
-  core.begin(inputs, options_.backend, options_.load_balancing, bank_,
-             p1_bank_, sets_, mu_off_);
+  core.begin(inputs, options_.load_balancing, bank_, p1_bank_, sets_,
+             mu_off_);
 
   HorizonSolution best;
   best.upper_bound = kInf;

@@ -79,21 +79,7 @@ struct PrimalDualOptions {
   /// Multiplies the schedule (16); 0 selects an automatic scale derived
   /// from the marginal BS cost (see primal_dual.cpp).
   double step_scale = 0.0;
-  P1Backend backend = P1Backend::kFlow;
   LoadBalancingOptions load_balancing{};
-  /// Neighbor-demand tilt of P1 (DESIGN.md §13): when positive and the
-  /// config carries a positive-bandwidth neighbor topology, every content's
-  /// P1 reward at SBS n gains `price * (total demand rate the positive-
-  /// bandwidth receivers of n place on that content that slot)` — a
-  /// constant per (n, k, t) computed serially driver-side before the
-  /// ascent, so caching decisions anticipate the neighbor tier that the
-  /// cooperative overlay (core/collab.hpp) later exploits. The tilt
-  /// perturbs P1's objective, so with a positive price the reported lower
-  /// bound is heuristic, not a valid bound on (9). 0.0 (the default)
-  /// disables the tilt and leaves every solve bitwise-identical to the
-  /// pre-topology solver. The tilt only reaches contents in the SBS's
-  /// restricted window union (others stay un-cacheable there).
-  double p1_neighbor_price = 0.0;
 };
 
 struct HorizonSolution {

@@ -111,7 +111,7 @@ void mu_block_offsets(const model::NetworkConfig& config, std::size_t horizon,
   }
 }
 
-void ShardCore::begin(const ShardInputs& in, P1Backend backend,
+void ShardCore::begin(const ShardInputs& in,
                       const LoadBalancingOptions& load_balancing,
                       std::vector<CellState>& bank,
                       std::vector<P1State>& p1_bank, const ActiveSets& sets,
@@ -120,7 +120,6 @@ void ShardCore::begin(const ShardInputs& in, P1Backend backend,
                   in.initial_cache != nullptr,
               "shard core: config, demand and initial cache must be set");
   inputs_ = in;
-  backend_ = backend;
   load_balancing_ = load_balancing;
   config_ = in.config;
   horizon_ = in.demand->horizon();
@@ -176,7 +175,7 @@ void ShardCore::begin(const ShardInputs& in, P1Backend backend,
       sub.initial[i] = inputs_.initial_cache->cached(n, list[i]) ? 1 : 0;
     }
     sub.rewards.assign(kp * w, 0.0);
-    if (backend_ == P1Backend::kFlow && kp > 0) {
+    if (kp > 0) {
       p1.flow.bind(sub);
     } else {
       p1.flow.unbind();  // an empty union must not reuse an older network
@@ -232,26 +231,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
           }
         }
       }
-      // Constant neighbor-demand tilt (ShardInputs::neighbor_rewards):
-      // added AFTER the mu sums, serially within this SBS's task, so the
-      // addition order is independent of the thread count.
-      if (inputs_.neighbor_rewards != nullptr) {
-        const linalg::Vec& tilt = (*inputs_.neighbor_rewards)[n];
-        if (!tilt.empty()) {
-          MDO_CHECK(tilt.size() == sub.rewards.size(),
-                    "shard core: neighbor reward layout mismatch");
-          for (std::size_t j = 0; j < tilt.size(); ++j) {
-            sub.rewards[j] += tilt[j];
-          }
-        }
-      }
-      if (backend_ == P1Backend::kFlow) {
-        p1_objectives_[n] = p1.flow.solve_into(sub, p1.x);
-      } else {
-        const CachingSolution sol = solve_caching_simplex(sub);
-        p1.x = sol.x;
-        p1_objectives_[n] = sol.objective;
-      }
+      p1_objectives_[n] = p1.flow.solve_into(sub, p1.x);
       return;
     }
     // The compact block IS the bound workspace's coefficient layout

@@ -33,12 +33,6 @@
 
 namespace mdo::core {
 
-/// Which exact P1 backend the dual iterations use.
-enum class P1Backend {
-  kFlow,     // min-cost flow (default, fast)
-  kSimplex,  // the paper's LP + simplex route (slower, for fidelity/tests)
-};
-
 /// Per-(slot, SBS) solver state (cell = t * num_sbs + n). The solver keeps
 /// the bank across solves only as reusable buffers; begin() re-binds every
 /// cell cold.
@@ -54,7 +48,7 @@ struct CellState {
 /// rewards and the schedule rows); begin() rewrites every field.
 struct P1State {
   CachingSubproblem sub;
-  CachingFlowWorkspace flow;    // bound only when the flow backend runs P1
+  CachingFlowWorkspace flow;    // unbound when the content union is empty
   std::vector<std::uint8_t> x;  // last iterate()'s schedule, [t * kp + i]
 };
 
@@ -98,13 +92,6 @@ struct ShardInputs {
   const model::NetworkConfig* config = nullptr;
   const model::SparseDemandTrace* demand = nullptr;
   const model::CacheState* initial_cache = nullptr;
-  /// Optional P1 neighbor-demand reward addends (DESIGN.md §13): per SBS a
-  /// vector in the P1 rewards layout ([t * kp + i] over the restricted
-  /// content list), computed serially by the driver from the topology and
-  /// the window demand and added to sub.rewards each iteration. Constants
-  /// of the solve — they never change between dual iterations. Null or
-  /// per-SBS empty vectors mean no tilt (the default).
-  const std::vector<linalg::Vec>* neighbor_rewards = nullptr;
 };
 
 class ShardCore {
@@ -116,8 +103,7 @@ class ShardCore {
   /// `mu_off` must be what build_active_sets and mu_block_offsets give for
   /// these inputs; the core reads them in place (the solver, which also
   /// needs them, builds them once), so they too must outlive its use.
-  void begin(const ShardInputs& in, P1Backend backend,
-             const LoadBalancingOptions& load_balancing,
+  void begin(const ShardInputs& in, const LoadBalancingOptions& load_balancing,
              std::vector<CellState>& bank, std::vector<P1State>& p1_bank,
              const ActiveSets& sets, const std::vector<std::size_t>& mu_off);
 
@@ -149,7 +135,6 @@ class ShardCore {
  private:
   const model::NetworkConfig* config_ = nullptr;
   ShardInputs inputs_;
-  P1Backend backend_ = P1Backend::kFlow;
   LoadBalancingOptions load_balancing_;
   std::size_t horizon_ = 0;
   const std::vector<std::size_t>* mu_off_ = nullptr;

@@ -32,12 +32,6 @@ double SbsDemand::content_total(std::size_t k) const {
   return acc;
 }
 
-linalg::Vec SbsDemand::content_totals() const {
-  linalg::Vec out;
-  content_totals_into(out);
-  return out;
-}
-
 double SbsDemand::total() const {
   double acc = 0.0;
   for (const double v : lambda_) acc += v;

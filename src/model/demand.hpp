@@ -42,7 +42,6 @@ class SbsDemand {
       for (std::size_t k = 0; k < num_contents_; ++k) out[k] += row[k];
     }
   }
-  linalg::Vec content_totals() const;
 
   /// Sum of all entries.
   double total() const;

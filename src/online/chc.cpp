@@ -104,7 +104,7 @@ void FhcPlanner::plan(std::ptrdiff_t tau, core::PrimalDualSolver& solver,
   // With no deadline and no log this is exactly solver.solve(problem) —
   // the clean path stays bit-identical to the unsupervised planner.
   auto solution = runtime::supervised_solve(
-      solver, problem, deadline, {}, log,
+      solver, problem, deadline, log,
       static_cast<std::size_t>(std::max<std::ptrdiff_t>(tau, 0)),
       min_horizon);
 

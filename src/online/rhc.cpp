@@ -47,7 +47,7 @@ model::SlotDecision RhcController::decide(const DecisionContext& ctx) {
   // RHC commits only the first action, so a truncated backoff retry may
   // shrink the window down to a single slot.
   auto solution =
-      runtime::supervised_solve(solver_, problem, ctx.deadline, {},
+      runtime::supervised_solve(solver_, problem, ctx.deadline,
                                 ctx.supervision, ctx.slot, /*min_horizon=*/1);
 
   model::SlotDecision decision = std::move(solution.schedule.front());

@@ -245,6 +245,7 @@ void OverlapP2Workspace::bind(const OverlapConfig& config,
 
   c_.assign(size, 0.0);
   ub_.assign(size, 1.0);
+  y_.assign(size, 0.0);
   has_solution_ = false;
 }
 
@@ -253,12 +254,6 @@ void OverlapP2Workspace::set_linear(const double* begin, const double* end) {
   MDO_REQUIRE(static_cast<std::size_t>(end - begin) == u_.size(),
               "overlap workspace: linear size");
   c_.assign(begin, end);
-  has_solution_ = false;
-}
-
-void OverlapP2Workspace::set_linear_zero() {
-  MDO_REQUIRE(bound(), "overlap workspace: bind() before set_linear_zero()");
-  c_.assign(u_.size(), 0.0);
   has_solution_ = false;
 }
 
@@ -334,7 +329,6 @@ OverlapP2Outcome solve_overlap_load_balancing(OverlapP2Workspace& ws,
                                   1e-9, ws.projection_);
       };
 
-  if (ws.y_.size() != size) ws.y_.assign(size, 0.0);
   ws.first_order_.x = ws.y_;  // warm start (copy-assign reuses capacity)
 
   solver::FirstOrderOptions fo = options.first_order;

@@ -12,8 +12,9 @@
 //
 // Hot-path memory model: mirrors core::P2Workspace. OverlapP2Workspace
 // keeps the coefficient vectors, the Dykstra/FISTA scratch, and the warm
-// start alive across dual iterations (and across solves); only the linear
-// term c and the box upper bound are refreshed in place. The legacy
+// start alive across dual iterations; only the linear term c and the box
+// upper bound are refreshed in place. bind() starts the warm start cold, so
+// nothing carries over from one horizon solve to the next. The legacy
 // one-shot entry points wrap a throwaway workspace and stay bit-identical.
 #pragma once
 
@@ -121,16 +122,14 @@ struct OverlapP2Outcome {
 class OverlapP2Workspace {
  public:
   /// (Re)binds to a (config, layout, demand) triple: rebuilds u/a/v and the
-  /// cached Lipschitz constant, resets c to zero and ub to all-ones, and
-  /// invalidates any cached solution. The previous solution vector is KEPT
-  /// as the next solve's warm start.
+  /// cached Lipschitz constant, resets c to zero, ub to all-ones and the
+  /// warm start to y = 0, and invalidates any cached solution.
   void bind(const OverlapConfig& config, const OverlapLayout& layout,
             const ClassDemand& demand);
   bool bound() const { return config_ != nullptr; }
 
   /// Copies [begin, end) into the linear term c. Size must match.
   void set_linear(const double* begin, const double* end);
-  void set_linear_zero();
   /// Copies `upper` into the box upper bound (bounds are checked when the
   /// feasible set is rebuilt at solve time, as in the legacy path).
   void set_upper(const linalg::Vec& upper);

@@ -41,30 +41,24 @@ double OverlapHorizonSolution::gap() const {
   return (upper_bound - lower_bound) / std::max(std::abs(upper_bound), 1e-12);
 }
 
-void OverlapP1Core::begin(const OverlapHorizonProblem& problem,
-                          std::size_t sbs_begin, std::size_t sbs_end) {
-  MDO_REQUIRE(sbs_begin <= sbs_end &&
-                  sbs_end <= problem.config->num_sbs(),
-              "overlap P1 core: SBS range out of bounds");
+void OverlapP1Core::begin(const OverlapHorizonProblem& problem) {
   problem_ = &problem;
-  sbs_begin_ = sbs_begin;
   const auto& config = *problem.config;
-  const std::size_t count = sbs_end - sbs_begin;
+  const std::size_t count = config.num_sbs();
   const std::size_t k_count = config.num_contents;
   const std::size_t w = problem.horizon();
   p1_.assign(count, P1State{});
   objectives_.assign(count, 0.0);
   x_.assign(count, {});
-  util::parallel_for(0, count, [&](std::size_t i) {
-    const std::size_t n = sbs_begin + i;
-    core::CachingSubproblem& sub = p1_[i].sub;
+  util::parallel_for(0, count, [&](std::size_t n) {
+    core::CachingSubproblem& sub = p1_[n].sub;
     sub.num_contents = k_count;
     sub.horizon = w;
     sub.capacity = config.sbs[n].cache_capacity;
     sub.beta = config.sbs[n].replacement_beta;
     sub.initial = problem.initial[n];
     sub.rewards.assign(k_count * w, 0.0);
-    p1_[i].flow.bind(sub);
+    p1_[n].flow.bind(sub);
   });
 }
 
@@ -74,9 +68,8 @@ void OverlapP1Core::iterate(const linalg::Vec& mu) {
   const std::size_t k_count = config.num_contents;
   const std::size_t per_slot = layout.y_size();
   const std::size_t w = problem_->horizon();
-  util::parallel_for(0, p1_.size(), [&](std::size_t i) {
-    const std::size_t n = sbs_begin_ + i;
-    core::CachingSubproblem& sub = p1_[i].sub;
+  util::parallel_for(0, p1_.size(), [&](std::size_t n) {
+    core::CachingSubproblem& sub = p1_[n].sub;
     std::fill(sub.rewards.begin(), sub.rewards.end(), 0.0);
     for (std::size_t t = 0; t < w; ++t) {
       for (const std::size_t id : layout.links_of_sbs(n)) {
@@ -86,7 +79,7 @@ void OverlapP1Core::iterate(const linalg::Vec& mu) {
         }
       }
     }
-    objectives_[i] = p1_[i].flow.solve_into(sub, x_[i]);
+    objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
   });
 }
 
@@ -141,14 +134,15 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
 
   // ---- Per-SBS P1 state, reused across dual iterations (shape and initial
   // cache are fixed for the whole solve; only the rewards change). Owned by
-  // the P1 core, bound over the full SBS range.
+  // the P1 core.
   OverlapP1Core p1;
-  p1.begin(problem, 0, config.num_sbs());
+  p1.begin(problem);
   const std::vector<std::vector<std::uint8_t>>& x = p1.x();  // [t*K + k]
 
   // ---- Per-slot P2 workspaces: coefficients built once here, the dual
   // loop then only refreshes the linear term (and the repair loop the box
-  // upper bound); the warm starts live inside and carry across solves.
+  // upper bound). Binding starts every P2 cold; the workspaces then
+  // warm-start each dual iteration from the previous one.
   bank_.resize(w);
   util::parallel_for(0, w, [&](std::size_t t) {
     SlotState& ss = bank_[t];

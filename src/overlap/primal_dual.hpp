@@ -48,29 +48,28 @@ struct OverlapHorizonSolution {
 };
 
 /// Core of the overlap P1 stage: owns the per-SBS caching subproblems and
-/// flow workspaces for a contiguous SBS range and runs one dual iteration's
-/// worth of P1 solves over it. Structured like core::ShardCore so the
+/// flow workspaces of every SBS and runs one dual iteration's worth of P1
+/// solves over them. Structured like core::ShardCore so the
 /// per-SBS state has a single owner; the overlap P2 couples every SBS
 /// within a slot through the shared overlap links, so only P1 lives here.
 class OverlapP1Core {
  public:
   /// Binds per-SBS P1 state (and builds each SBS's flow network, re-priced
-  /// by every iterate()) for SBSs [sbs_begin, sbs_end) of `problem`. The
-  /// problem must outlive the core and stay unchanged until the next
-  /// begin(). Parallelizes over the range internally.
-  void begin(const OverlapHorizonProblem& problem, std::size_t sbs_begin,
-             std::size_t sbs_end);
+  /// by every iterate()) for every SBS of `problem`. The problem must
+  /// outlive the core and stay unchanged until the next begin().
+  /// Parallelizes over the SBSs internally.
+  void begin(const OverlapHorizonProblem& problem);
 
-  /// One dual iteration of P1 over the bound range: rebuild rewards from
+  /// One dual iteration of P1 over every SBS: rebuild rewards from
   /// `mu` (full-length, slot-major), solve each SBS's min-cost flow, store
-  /// objectives and cache plans per local index. Bit-identical at any
-  /// thread count (per-index output slots, no reductions).
+  /// objectives and cache plans per SBS. Bit-identical at any thread count
+  /// (per-index output slots, no reductions).
   void iterate(const linalg::Vec& mu);
 
   std::size_t size() const { return p1_.size(); }
-  /// Per-SBS P1 objectives, indexed by local offset (n - sbs_begin).
+  /// Per-SBS P1 objectives.
   const std::vector<double>& objectives() const { return objectives_; }
-  /// Per-SBS cache plans [t * K + k], indexed by local offset.
+  /// Per-SBS cache plans [t * K + k].
   const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
 
  private:
@@ -80,7 +79,6 @@ class OverlapP1Core {
   };
 
   const OverlapHorizonProblem* problem_ = nullptr;
-  std::size_t sbs_begin_ = 0;
   std::vector<P1State> p1_;
   std::vector<double> objectives_;
   std::vector<std::vector<std::uint8_t>> x_;
@@ -90,8 +88,9 @@ class OverlapPrimalDualSolver {
  public:
   explicit OverlapPrimalDualSolver(OverlapPrimalDualOptions options = {});
 
-  /// Non-const: the solver keeps the per-slot P2 workspace bank — and with
-  /// it the P2 warm starts — between calls.
+  /// The result is a pure function of `problem` (and the options).
+  /// Non-const only because the solver keeps the per-slot P2 workspace bank
+  /// as reusable buffers; bind() restarts every workspace cold per solve.
   ///
   /// `deadline` is polled once per dual iteration after the first one
   /// completes; on expiry the best feasible incumbent is returned with

@@ -11,6 +11,11 @@ namespace mdo::runtime {
 
 namespace {
 
+/// Backoff retries after a failed primary solve.
+constexpr std::size_t kMaxRetries = 2;
+/// Tolerance multiplier per retry: attempt i solves to epsilon * 10^i.
+constexpr double kToleranceRelax = 10.0;
+
 /// Window prefix of `problem` with the first `horizon` slots — the
 /// truncated subproblem of a backoff retry. HorizonProblem references its
 /// demand window, so the holder owns the truncated trace and the embedded
@@ -71,7 +76,6 @@ void SupervisionLog::clear() {
 core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
                                        DeadlineToken* deadline,
-                                       const SupervisionOptions& options,
                                        SupervisionLog* log, std::size_t slot,
                                        std::size_t min_horizon) {
   core::HorizonSolution primary = solver.solve(problem, deadline);
@@ -110,11 +114,9 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
   const std::size_t floor_horizon =
       std::min(std::max<std::size_t>(min_horizon, 1), full_horizon);
   std::size_t prev_horizon = full_horizon;
-  for (std::size_t attempt = 1; attempt <= options.max_retries; ++attempt) {
-    std::size_t horizon = full_horizon;
-    if (options.halve_horizon) {
-      horizon = std::max(floor_horizon, full_horizon >> attempt);
-    }
+  for (std::size_t attempt = 1; attempt <= kMaxRetries; ++attempt) {
+    const std::size_t horizon =
+        std::max(floor_horizon, full_horizon >> attempt);
     if (horizon == prev_horizon && attempt > 1) {
       // The window cannot shrink further; re-solving the identical poisoned
       // prefix would fail identically.
@@ -123,8 +125,7 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
     prev_horizon = horizon;
 
     core::PrimalDualOptions relaxed = solver.options();
-    relaxed.epsilon *= std::pow(options.tolerance_relax,
-                                static_cast<double>(attempt));
+    relaxed.epsilon *= std::pow(kToleranceRelax, static_cast<double>(attempt));
 
     TruncatedProblem truncated;
     if (horizon != full_horizon) truncated.fill(problem, horizon);
@@ -143,7 +144,7 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
     }
   }
 
-  record(SupervisionEventKind::kExhausted, options.max_retries, prev_horizon,
+  record(SupervisionEventKind::kExhausted, kMaxRetries, prev_horizon,
          primary);
   MDO_WARN("supervisor: slot " << slot
                                << " exhausted retries; serving the safe "

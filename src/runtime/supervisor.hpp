@@ -10,12 +10,12 @@
 //    stays bounded by the solver's one-iteration polling granularity.
 //
 //  - Solve failure (SolveStatus::kNonFiniteInput) escalates through bounded
-//    retry-with-backoff: each retry relaxes the tolerance by
-//    `tolerance_relax` and halves the planning horizon (clamped to
-//    `min_horizon`, the prefix the caller must still commit). Truncation is
-//    the mechanism that can actually recover — it excises poisoned tail
-//    slots while keeping the committed prefix intact. Each retry builds its
-//    own solver from the relaxed options.
+//    retry-with-backoff: up to two retries, each relaxing the tolerance
+//    tenfold and halving the planning horizon (clamped to `min_horizon`, the
+//    prefix the caller must still commit). Truncation is the mechanism that
+//    can actually recover — it excises poisoned tail slots while keeping
+//    the committed prefix intact. Each retry builds its own solver from the
+//    relaxed options.
 //
 //  - If every retry fails, the attempt-0 fallback solution (carry the
 //    cache, serve everything from the BS) is returned unchanged and the
@@ -77,17 +77,6 @@ struct SupervisionLog {
   void clear();
 };
 
-struct SupervisionOptions {
-  /// Backoff retries after a failed primary solve.
-  std::size_t max_retries = 2;
-  /// Tolerance multiplier per retry: attempt i solves to epsilon * relax^i.
-  double tolerance_relax = 10.0;
-  /// Halve the horizon on each retry (never below the caller's
-  /// min_horizon). Disabling leaves only the tolerance relaxation, which
-  /// cannot recover from poisoned input — kept as a knob for experiments.
-  bool halve_horizon = true;
-};
-
 /// Solves `problem` on `solver` under the supervision policy above.
 ///
 /// `deadline` may be null (unlimited). `log` may be null; retries are then
@@ -98,7 +87,6 @@ struct SupervisionOptions {
 core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
                                        DeadlineToken* deadline,
-                                       const SupervisionOptions& options,
                                        SupervisionLog* log, std::size_t slot,
                                        std::size_t min_horizon);
 

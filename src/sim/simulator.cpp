@@ -41,6 +41,55 @@ Simulator::Simulator(const model::ProblemInstance& instance,
               "predictor horizon must match the instance horizon");
 }
 
+SlotRecord execute_slot(const SimulatorOptions& options,
+                        const model::NetworkConfig& config,
+                        const model::NetworkConfig& executed_config,
+                        std::size_t t, model::SlotDemandView truth,
+                        const online::Controller& controller,
+                        const model::CacheState& previous,
+                        model::SlotDecision& decision,
+                        std::optional<EventSimulator>& events,
+                        std::optional<EventMetrics>& metrics) {
+  if (options.repair) {
+    model::enforce_feasibility(executed_config, truth, decision);
+  } else {
+    const auto violations = model::check_feasibility(
+        executed_config, truth, decision, options.feasibility_tol);
+    if (!violations.empty()) {
+      std::ostringstream os;
+      os << controller.name() << " infeasible at slot " << t << ": "
+         << violations.front().description;
+      throw InvalidArgument(os.str());
+    }
+  }
+
+  // Cooperative tier: route part of the repaired decision's BS residual
+  // through neighbor caches. Runs on the executed (possibly degraded)
+  // config so outaged links carry nothing; accounted on the clean truth
+  // like everything else. Strictly cost-improving per slot by
+  // construction (core/collab.hpp).
+  if (options.cooperative_routing && executed_config.has_neighbor_tier()) {
+    core::apply_neighbor_overlay(executed_config, truth, decision,
+                                 options.collab);
+  }
+
+  SlotRecord record;
+  record.cost = model::slot_cost(config, truth, decision, previous);
+  record.replacements = model::replacement_count(decision.cache, previous);
+  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+    record.demand_total += truth.sbs(n).total();
+    record.sbs_served += model::sbs_load(decision.load, n, truth.sbs(n));
+    record.neigh_served +=
+        model::neighbor_load(decision.load, n, truth.sbs(n));
+  }
+
+  // Request-level layer: replay the slot's individual requests against
+  // the executed decision (hit/miss, queueing delay, backhaul bytes).
+  // Purely observational; runs on the clean truth like the cost above.
+  if (events) events->simulate_slot(t, truth, decision, previous, *metrics);
+  return record;
+}
+
 SimulationResult Simulator::run(online::Controller& controller) const {
   const auto& config = instance_->config;
   const bool checkpointing = !options_.checkpoint_path.empty();
@@ -125,49 +174,13 @@ SimulationResult Simulator::run(online::Controller& controller) const {
     const Stopwatch decide_watch;
     model::SlotDecision decision = controller.decide(ctx);
     const double decision_seconds = decide_watch.elapsed_seconds();
-    if (options_.repair) {
-      model::enforce_feasibility(executed_config, truth, decision);
-    } else {
-      const auto violations = model::check_feasibility(
-          executed_config, truth, decision, options_.feasibility_tol);
-      if (!violations.empty()) {
-        std::ostringstream os;
-        os << controller.name() << " infeasible at slot " << t << ": "
-           << violations.front().description;
-        throw InvalidArgument(os.str());
-      }
-    }
-
-    // Cooperative tier: route part of the repaired decision's BS residual
-    // through neighbor caches. Runs on the executed (possibly degraded)
-    // config so outaged links carry nothing; accounted on the clean truth
-    // like everything else. Strictly cost-improving per slot by
-    // construction (core/collab.hpp).
-    if (options_.cooperative_routing && executed_config.has_neighbor_tier()) {
-      core::apply_neighbor_overlay(executed_config, truth, decision,
-                                   options_.collab);
-    }
-
-    SlotRecord record;
-    record.cost = model::slot_cost(config, truth, decision, previous);
-    record.replacements = model::replacement_count(decision.cache, previous);
+    SlotRecord record =
+        execute_slot(options_, config, executed_config, t, truth, controller,
+                     previous, decision, events, result.events);
     record.decision_seconds = decision_seconds;
-    for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-      record.demand_total += truth.sbs(n).total();
-      record.sbs_served += model::sbs_load(decision.load, n, truth.sbs(n));
-      record.neigh_served +=
-          model::neighbor_load(decision.load, n, truth.sbs(n));
-    }
     result.total += record.cost;
     result.total_replacements += record.replacements;
     result.slots.push_back(record);
-
-    // Request-level layer: replay the slot's individual requests against
-    // the executed decision (hit/miss, queueing delay, backhaul bytes).
-    // Purely observational; runs on the clean truth like the cost above.
-    if (events) {
-      events->simulate_slot(t, truth, decision, previous, *result.events);
-    }
 
     previous = decision.cache;
     controller.observe(t, decision);

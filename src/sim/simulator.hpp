@@ -130,6 +130,25 @@ struct SimulatorOptions {
   std::size_t halt_after_slot = std::numeric_limits<std::size_t>::max();
 };
 
+/// The step every executed slot takes after decide(), shared by
+/// Simulator::run and run_streaming (sim/streaming_run.hpp). It repairs
+/// `decision` against `truth` on `executed_config` (or, with options.repair
+/// off, throws InvalidArgument naming `controller` and slot `t` when the
+/// decision is infeasible), applies the cooperative overlay when that
+/// config has a neighbor tier and options.cooperative_routing is on, and
+/// accounts the slot's cost, replacements and demand/SBS/neighbor loads on
+/// `config`. When `events` is set it also replays the slot's requests into
+/// `metrics`. The record's decision_seconds is left at 0.
+SlotRecord execute_slot(const SimulatorOptions& options,
+                        const model::NetworkConfig& config,
+                        const model::NetworkConfig& executed_config,
+                        std::size_t t, model::SlotDemandView truth,
+                        const online::Controller& controller,
+                        const model::CacheState& previous,
+                        model::SlotDecision& decision,
+                        std::optional<EventSimulator>& events,
+                        std::optional<EventMetrics>& metrics);
+
 class Simulator {
  public:
   /// The instance and predictor must outlive the simulator.

@@ -1,9 +1,8 @@
 #include "sim/streaming_run.hpp"
 
-#include <sstream>
 #include <utility>
 
-#include "model/feasibility.hpp"
+#include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -54,6 +53,12 @@ StreamingRunResult run_streaming(const model::NetworkConfig& config,
   StreamingRunResult result;
   result.controller = controller.name();
 
+  // The per-slot step of sim::Simulator, with its default cooperative
+  // routing: a config with a neighbor tier gets the same overlay.
+  SimulatorOptions slot_options;
+  slot_options.repair = options.repair;
+  slot_options.feasibility_tol = options.feasibility_tol;
+
   std::optional<EventSimulator> events;
   if (options.simulate_events) {
     events.emplace(shell.config, options.event_options);
@@ -86,29 +91,14 @@ StreamingRunResult run_streaming(const model::NetworkConfig& config,
     ctx.predictor = &predictor;
 
     model::SlotDecision decision = controller.decide(ctx);
-    if (options.repair) {
-      model::enforce_feasibility(shell.config, truth, decision);
-    } else {
-      const auto violations = model::check_feasibility(
-          shell.config, truth, decision, options.feasibility_tol);
-      if (!violations.empty()) {
-        std::ostringstream os;
-        os << controller.name() << " infeasible at slot " << t << ": "
-           << violations.front().description;
-        throw InvalidArgument(os.str());
-      }
-    }
-
-    result.total += model::slot_cost(shell.config, truth, decision, previous);
-    result.total_replacements +=
-        model::replacement_count(decision.cache, previous);
-    for (std::size_t n = 0; n < shell.config.num_sbs(); ++n) {
-      result.demand_total += truth.sbs(n).total();
-      result.sbs_served += model::sbs_load(decision.load, n, truth.sbs(n));
-    }
-    if (events) {
-      events->simulate_slot(t, truth, decision, previous, *result.events);
-    }
+    const SlotRecord record =
+        execute_slot(slot_options, shell.config, shell.config, t, truth,
+                     controller, previous, decision, events, result.events);
+    result.total += record.cost;
+    result.total_replacements += record.replacements;
+    result.demand_total += record.demand_total;
+    result.sbs_served += record.sbs_served;
+    result.neigh_served += record.neigh_served;
 
     previous = decision.cache;
     controller.observe(t, decision);

@@ -80,18 +80,23 @@ struct StreamingRunResult {
   std::size_t total_replacements = 0;
   double demand_total = 0.0;
   double sbs_served = 0.0;
+  double neigh_served = 0.0;  // served out of neighbor caches
   std::optional<EventMetrics> events;
 
   double total_cost() const { return total.total(); }
+  /// Fraction of demand volume served by SBSs, neighbor tier included (as
+  /// SimulationResult::offload_ratio).
   double offload_ratio() const {
-    return demand_total > 0.0 ? sbs_served / demand_total : 0.0;
+    return demand_total > 0.0 ? (sbs_served + neigh_served) / demand_total
+                              : 0.0;
   }
 };
 
 /// Plays `controller` over every slot `reader` yields. The controller is
 /// reset against an empty-demand shell instance (config + all-empty initial
-/// cache, use_sparse_demand set); decisions, repair, and cost accounting
-/// match sim::Simulator slot for slot.
+/// cache, use_sparse_demand set); decisions, repair, the cooperative
+/// overlay and cost accounting match sim::Simulator slot for slot (both run
+/// sim::execute_slot).
 StreamingRunResult run_streaming(const model::NetworkConfig& config,
                                  workload::StreamingTraceReader& reader,
                                  online::Controller& controller,

@@ -1,16 +1,14 @@
 // Subgradient-method utilities for the dual ascent in Algorithm 1.
 //
 // The paper updates the multipliers with a diminishing step size (eq. 16)
-// and projects onto the non-negative orthant (eq. 15). We use
+// and projects onto the non-negative orthant (eq. 15); the projected step
+// itself is the fused kernel linalg::dual_ascent_project. We use
 // delta_l = alpha / (1 + l),
 // a harmonic schedule that satisfies the diminishing-step conditions
 // (sum delta_l = inf, delta_l -> 0) with alpha scaling the step magnitude.
-// These helpers keep that logic in one tested place.
 #pragma once
 
 #include <cstddef>
-
-#include "linalg/vec.hpp"
 
 namespace mdo::solver {
 
@@ -25,9 +23,5 @@ class DiminishingStep {
  private:
   double alpha_;
 };
-
-/// mu <- max(0, mu + step * subgradient), eq. (15). Sizes must match.
-void ascend_projected(linalg::Vec& mu, const linalg::Vec& subgradient,
-                      double step);
 
 }  // namespace mdo::solver

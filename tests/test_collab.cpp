@@ -194,51 +194,5 @@ TEST(Collab, ExecutedDecisionsRespectInterSbsLinkCaps) {
   EXPECT_TRUE(any_neighbor_traffic);
 }
 
-// ---- neighbor-priced solver ------------------------------------------------
-
-TEST(Collab, NeighborPricedSolveBitIdenticalAcrossThreads) {
-  // p1_neighbor_price > 0 adds the per-SBS neighbor-reward addends inside
-  // the parallel P1 pass; the solve must stay bit-identical at 4 threads.
-  const auto instance =
-      small_scenario(workload::NeighborTopologyKind::kRing, 5.0).build();
-  core::HorizonProblem problem;
-  problem.config = &instance.config;
-  problem.demand = &instance.demand;
-  problem.initial_cache = instance.initial_cache;
-
-  core::PrimalDualOptions options;
-  options.p1_neighbor_price = 0.05;
-  util::ThreadPool::set_global_threads(1);
-  const auto want = core::PrimalDualSolver(options).solve(problem);
-  util::ThreadPool::set_global_threads(4);
-  const auto got = core::PrimalDualSolver(options).solve(problem);
-  util::ThreadPool::set_global_threads(1);
-  EXPECT_EQ(got.upper_bound, want.upper_bound);
-  EXPECT_EQ(got.lower_bound, want.lower_bound);
-  ASSERT_EQ(got.mu.size(), want.mu.size());
-  for (std::size_t j = 0; j < got.mu.size(); ++j) {
-    EXPECT_EQ(got.mu[j], want.mu[j]);
-  }
-}
-
-TEST(Collab, NeighborPriceZeroMatchesUnpricedSolve) {
-  // price = 0 must not tilt anything: bit-identical to the default solve.
-  const auto instance =
-      small_scenario(workload::NeighborTopologyKind::kRing, 5.0).build();
-  core::HorizonProblem problem;
-  problem.config = &instance.config;
-  problem.demand = &instance.demand;
-  problem.initial_cache = instance.initial_cache;
-
-  core::PrimalDualSolver plain{core::PrimalDualOptions{}};
-  const auto want = plain.solve(problem);
-  core::PrimalDualOptions priced;
-  priced.p1_neighbor_price = 0.0;
-  core::PrimalDualSolver zero(priced);
-  const auto got = zero.solve(problem);
-  EXPECT_EQ(got.upper_bound, want.upper_bound);
-  EXPECT_EQ(got.lower_bound, want.lower_bound);
-}
-
 }  // namespace
 }  // namespace mdo

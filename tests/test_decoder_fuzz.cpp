@@ -1,24 +1,27 @@
-// Deterministic payload mutation fuzz for the binary decoders: the sparse
-// demand trace codec (model::read_sparse_trace), the snapshot of a
+// Deterministic mutation fuzz for the binary decoders — the snapshot of a
 // solver-driven controller (CHC's committed window-solve plans, decoded by
 // ChcController::restore_state) and the simulator's checkpoint payload
 // (sim::Simulator resume: run header, records, supervision log, predictor
-// and controller state).
+// and controller state) — plus the window solver's robustness against the
+// demand rates such corruption produces.
 //
 // Every mutant of a valid payload — one bit flipped per byte, a truncation
 // at every length, and every small 8-byte little-endian window (a superset
 // of the count and dimension fields) inflated — must either be rejected
 // with InvalidArgument or decode into an object that the following
-// validate()/solve()/decide() handles: a decoded trace may still be refused by
-// validate(), and a flipped exponent bit can leave a finite rate so large
-// that the flow solver reports SolverError, but no other exception, hang or
-// memory error is allowed. A mutated checkpoint payload is framed with a
-// fresh checksum so that the payload decoders, not the file checksum, see
-// it; the resumed run must either fall back to a cold start or resume, and
-// in both cases play the full horizon. In the sanitizer build any
-// out-of-bounds access fails the run.
+// decide() handles; no other exception, hang or memory error is allowed. A
+// mutated checkpoint payload is framed with a fresh checksum so that the
+// payload decoders, not the file checksum, see it; the resumed run must
+// either fall back to a cold start or resume, and in both cases play the
+// full horizon. The rate mutants flip every bit, and set every value of
+// the top byte, of every stored demand rate in memory: validate() may
+// refuse the trace, and a mutated exponent can leave a finite rate so large
+// that the flow solver reports SolverError, but otherwise solve() must
+// return a full-length schedule.
+// In the sanitizer build any out-of-bounds access fails the run.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -26,10 +29,10 @@
 #include <initializer_list>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/primal_dual.hpp"
-#include "model/sparse_demand_io.hpp"
 #include "online/chc.hpp"
 #include "online/robust_controller.hpp"
 #include "runtime/checkpoint.hpp"
@@ -113,7 +116,7 @@ void for_each_mutant(const Bytes& payload, Fn&& fn) {
 }
 
 /// A small truncated-Zipf sparse instance: the stored rows are a strict
-/// subset of the catalogue, so the payloads carry real index lists.
+/// subset of the catalogue.
 model::ProblemInstance fuzz_instance() {
   workload::PaperScenario scenario;
   scenario.num_sbs = 2;
@@ -143,35 +146,70 @@ struct Tally {
   std::size_t accepted = 0;  // decoded, and the follow-up call handled it
 };
 
-TEST(DecoderFuzz, SparseTracePayloadMutants) {
+/// Copy of `trace` with its `index`-th stored rate XORed bitwise with
+/// `mask`, counting rates in (slot, SBS, class, content) order.
+model::SparseDemandTrace with_rate_mutated(
+    const model::SparseDemandTrace& trace, std::size_t index,
+    std::uint64_t mask) {
+  model::SparseDemandTrace out;
+  std::size_t at = 0;
+  for (std::size_t t = 0; t < trace.horizon(); ++t) {
+    model::SparseSlotDemand slot;
+    for (const model::SparseSbsDemand& cell : trace.slot(t)) {
+      model::SparseSbsDemand copy(cell.num_classes(), cell.num_contents());
+      for (std::size_t m = 0; m < cell.num_classes(); ++m) {
+        for (const model::DemandEntry* it = cell.row_begin(m);
+             it != cell.row_end(m); ++it, ++at) {
+          double rate = it->rate;
+          if (at == index) {
+            rate = std::bit_cast<double>(std::bit_cast<std::uint64_t>(rate) ^
+                                         mask);
+          }
+          copy.append(m, it->content, rate);
+        }
+      }
+      copy.finalize();
+      slot.push_back(std::move(copy));
+    }
+    out.push_back(std::move(slot));
+  }
+  return out;
+}
+
+TEST(DecoderFuzz, SparseTraceRateMutants) {
   use_one_thread();
   const auto instance = fuzz_instance();
-  util::BinaryWriter writer;
-  model::write_sparse_trace(writer, instance.sparse_demand);
-  const Bytes payload = writer.bytes();
 
-  Tally tally;
-  for_each_mutant(payload, [&](const Bytes& bytes, const std::string& label) {
-    model::SparseDemandTrace trace;
-    try {
-      util::BinaryReader reader(bytes);
-      trace = model::read_sparse_trace(reader);
-    } catch (const InvalidArgument&) {
-      ++tally.rejected;
-      return;
+  std::vector<double> rates;  // in with_rate_mutated's order
+  for (std::size_t t = 0; t < instance.sparse_demand.horizon(); ++t) {
+    for (const model::SparseSbsDemand& cell : instance.sparse_demand.slot(t)) {
+      for (std::size_t m = 0; m < cell.num_classes(); ++m) {
+        for (const model::DemandEntry* it = cell.row_begin(m);
+             it != cell.row_end(m); ++it) {
+          rates.push_back(it->rate);
+        }
+      }
     }
+  }
+
+  std::size_t refused = 0;  // validate() threw InvalidArgument
+  std::size_t solved = 0;   // solve() returned, or reported SolverError
+  const auto check = [&](std::size_t index, std::uint64_t mask) {
+    const model::SparseDemandTrace trace =
+        with_rate_mutated(instance.sparse_demand, index, mask);
+    const std::string label =
+        "rate " + std::to_string(index) + " xor " + std::to_string(mask);
     try {
       trace.validate(instance.config);
     } catch (const InvalidArgument&) {
-      ++tally.accepted;
+      ++refused;
       return;
     }
-    ++tally.accepted;
-    if (trace.horizon() == 0) return;
     core::HorizonProblem problem;
     problem.config = &instance.config;
     problem.sparse_demand = &trace;
     problem.initial_cache = instance.initial_cache;
+    ++solved;
     try {
       core::PrimalDualSolver solver(fuzz_options());
       const core::HorizonSolution solution = solver.solve(problem);
@@ -181,9 +219,21 @@ TEST(DecoderFuzz, SparseTracePayloadMutants) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << label << ": solve threw " << e.what();
     }
-  });
-  EXPECT_GT(tally.rejected, 0u);
-  EXPECT_GT(tally.accepted, 0u);
+  };
+  for (std::size_t index = 0; index < rates.size(); ++index) {
+    // Every single bit flip, then every value of the top byte (sign and
+    // high exponent bits): scales of 2^(16 j) in both directions, signed
+    // rates and non-finite patterns.
+    for (unsigned bit = 0; bit < 64; ++bit) {
+      check(index, std::uint64_t{1} << bit);
+    }
+    const std::uint64_t top = std::bit_cast<std::uint64_t>(rates[index]) >> 56;
+    for (std::uint64_t byte = 0; byte < 256; ++byte) {
+      if (byte != top) check(index, (byte ^ top) << 56);
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(solved, 0u);
 }
 
 /// Plays slots [from, to) of `instance` through `controller` with a

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "linalg/vec.hpp"
 #include "solver/first_order.hpp"
 #include "solver/projection.hpp"
 #include "solver/subgradient.hpp"
@@ -223,16 +224,16 @@ TEST(Subgradient, RejectsNonPositiveAlpha) {
 }
 
 TEST(Subgradient, AscendProjectsOntoNonNegativeOrthant) {
-  Vec mu{0.5, 0.1, 0.0};
-  ascend_projected(mu, {1.0, -2.0, -1.0}, 0.5);
+  // The fused step the solver runs: mu <- max(0, mu + delta * (y - x)),
+  // eqs. (15) and (17).
+  Vec mu{0.5, 0.1, 0.0, 0.8};
+  const Vec y{1.0, 0.0, 0.0, 0.0};
+  const Vec x{0.0, 1.0, 1.0, 1.0};
+  linalg::dual_ascent_project(mu.data(), y.data(), x.data(), 0.5, mu.size());
   EXPECT_DOUBLE_EQ(mu[0], 1.0);
   EXPECT_DOUBLE_EQ(mu[1], 0.0);  // clipped at zero (eq. 15)
   EXPECT_DOUBLE_EQ(mu[2], 0.0);
-}
-
-TEST(Subgradient, AscendValidatesSizes) {
-  Vec mu{1.0};
-  EXPECT_THROW(ascend_projected(mu, {1.0, 2.0}, 0.1), InvalidArgument);
+  EXPECT_DOUBLE_EQ(mu[3], 0.3);  // a negative step that stays positive
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // instances.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "overlap/primal_dual.hpp"
 #include "util/error.hpp"
@@ -290,6 +292,37 @@ TEST(OverlapPrimalDual, DeterministicAcrossRuns) {
   const auto a = OverlapPrimalDualSolver().solve(problem);
   const auto b = OverlapPrimalDualSolver().solve(problem);
   EXPECT_DOUBLE_EQ(a.upper_bound, b.upper_bound);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(OverlapPrimalDual, SolveIsPureFunctionOfProblem) {
+  // One solver solves P, then Q, then P again: nothing of the Q solve (the
+  // P2 workspaces' last solutions included) may reach the second P solve.
+  const auto config = small_config();
+  const OverlapLayout layout(config);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto p = horizon_problem(config, layout, seed, 2);
+    const auto q = horizon_problem(config, layout, seed + 100, 2);
+    OverlapPrimalDualSolver solver;
+    const auto first = solver.solve(p);
+    solver.solve(q);
+    const auto again = solver.solve(p);
+    EXPECT_TRUE(same_bits(first.upper_bound, again.upper_bound)) << seed;
+    EXPECT_TRUE(same_bits(first.lower_bound, again.lower_bound)) << seed;
+    ASSERT_EQ(first.schedule.size(), again.schedule.size());
+    for (std::size_t t = 0; t < first.schedule.size(); ++t) {
+      const linalg::Vec& y1 = first.schedule[t].y;
+      const linalg::Vec& y2 = again.schedule[t].y;
+      ASSERT_EQ(y1.size(), y2.size());
+      for (std::size_t j = 0; j < y1.size(); ++j) {
+        EXPECT_TRUE(same_bits(y1[j], y2[j]))
+            << "seed " << seed << " slot " << t << " coordinate " << j;
+      }
+    }
+  }
 }
 
 /// Brute force: enumerate all feasible cache sequences (tiny instance),

@@ -80,20 +80,6 @@ TEST(PrimalDual, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.lower_bound, b.lower_bound);
 }
 
-TEST(PrimalDual, SimplexBackendAgreesWithFlow) {
-  const auto instance = small_instance(8, /*contents=*/4, /*classes=*/2,
-                                       /*horizon=*/3);
-  PrimalDualOptions flow_options;
-  PrimalDualOptions simplex_options;
-  simplex_options.backend = P1Backend::kSimplex;
-  const auto via_flow =
-      PrimalDualSolver(flow_options).solve(as_problem(instance));
-  const auto via_simplex =
-      PrimalDualSolver(simplex_options).solve(as_problem(instance));
-  EXPECT_NEAR(via_flow.upper_bound, via_simplex.upper_bound,
-              1e-6 * (1.0 + via_flow.upper_bound));
-}
-
 TEST(PrimalDual, ValidatesProblem) {
   HorizonProblem empty;
   EXPECT_THROW(PrimalDualSolver().solve(empty), InvalidArgument);

@@ -216,9 +216,8 @@ TEST(Supervisor, CleanSolveEmitsNoEvents) {
   const auto problem = as_problem(instance);
   core::PrimalDualSolver supervised(tight_options());
   runtime::SupervisionLog log;
-  const auto a = runtime::supervised_solve(supervised, problem, nullptr, {},
-                                           &log, /*slot=*/0,
-                                           /*min_horizon=*/1);
+  const auto a = runtime::supervised_solve(supervised, problem, nullptr, &log,
+                                           /*slot=*/0, /*min_horizon=*/1);
   EXPECT_TRUE(log.events.empty());
   core::PrimalDualSolver plain(tight_options());
   const auto b = plain.solve(problem);
@@ -233,7 +232,7 @@ TEST(Supervisor, DeadlineExpiryIsLoggedNotRetried) {
   runtime::SupervisionLog log;
   auto token = runtime::DeadlineToken::after_checks(0);
   const auto solution = runtime::supervised_solve(
-      solver, problem, &token, {}, &log, /*slot=*/4,
+      solver, problem, &token, &log, /*slot=*/4,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   ASSERT_EQ(log.events.size(), 1u);
@@ -267,7 +266,7 @@ TEST(Supervisor, TruncatedRetryRecoversFromPoisonedTail) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/1);
   // Horizon 4, halved to 2 on attempt 1: the NaN tail slot is gone.
   EXPECT_NE(solution.status, solver::SolveStatus::kNonFiniteInput);
@@ -294,7 +293,7 @@ TEST(Supervisor, ExhaustionReturnsSafeFallback) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
   EXPECT_EQ(solution.schedule.size(), instance.horizon());
@@ -310,7 +309,7 @@ TEST(Supervisor, MinHorizonFloorsTruncation) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/3);
   // Horizon 4 halves to 2 < floor 3, so the retry solves exactly 3 slots —
   // which excises the poisoned slot 3 and recovers.
@@ -328,7 +327,7 @@ TEST(Supervisor, NullLogDisablesRetries) {
   const TailPoisonedProblem owned(instance);
   const auto& problem = owned.problem;
   core::PrimalDualSolver supervised(tight_options());
-  const auto a = runtime::supervised_solve(supervised, problem, nullptr, {},
+  const auto a = runtime::supervised_solve(supervised, problem, nullptr,
                                            nullptr, /*slot=*/0,
                                            /*min_horizon=*/1);
   // Without a log the call is exactly one plain solve: same fallback.

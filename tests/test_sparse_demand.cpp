@@ -1,6 +1,6 @@
 // Tests for the sparse demand representation and the active-set pipeline:
-// lossless dense<->sparse conversion, sparse generation/serialization, the
-// binary trace codecs, and the headline guarantee — with min_rate == 0
+// lossless dense<->sparse conversion, sparse generation/serialization and
+// the headline guarantee — with min_rate == 0
 // every controller produces the SAME schedule and costs bit for bit
 // whichever representation backs the instance (run with MDO_THREADS=4 as
 // well via the _mt4 registration).
@@ -10,9 +10,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,7 +17,6 @@
 #include "model/costs.hpp"
 #include "model/feasibility.hpp"
 #include "model/sparse_demand.hpp"
-#include "model/sparse_demand_io.hpp"
 #include "online/rhc.hpp"
 #include "online/robust_controller.hpp"
 #include "sim/experiment.hpp"
@@ -639,63 +635,6 @@ TEST(SparseDemand, SolverHandlesCachedOnlyActiveSet) {
   EXPECT_TRUE(std::isfinite(result.total.total()));
   // All demand is on one content: a sane schedule serves some of it.
   EXPECT_GT(result.offload_ratio(), 0.0);
-}
-
-// ---- Sparse demand binary codecs -------------------------------------------
-
-/// Truncated so the stored rows are a strict subset of the catalogue.
-model::ProblemInstance io_instance(std::size_t num_sbs, std::size_t horizon) {
-  workload::PaperScenario scenario;
-  scenario.num_sbs = num_sbs;
-  scenario.num_contents = 8;
-  scenario.classes_per_sbs = 3;
-  scenario.horizon = horizon;
-  scenario.cache_capacity = 2;
-  scenario.bandwidth = 4.0;
-  scenario.beta = 2.0;
-  scenario.seed = 11;
-  scenario.workload.min_rate = 0.05;
-  return scenario.build_sparse();
-}
-
-TEST(SparseDemandIo, WriterReaderRoundTrip) {
-  const auto instance = io_instance(4, 6);
-  util::BinaryWriter w;
-  model::write_sparse_trace(w, instance.sparse_demand);
-  util::BinaryReader r(w.bytes());
-  const model::SparseDemandTrace loaded = model::read_sparse_trace(r);
-  EXPECT_TRUE(loaded == instance.sparse_demand);
-  EXPECT_TRUE(r.exhausted());
-}
-
-TEST(SparseDemandIo, SingleSbsRoundTrip) {
-  const auto instance = io_instance(2, 2);
-  const model::SparseSbsDemand& block = instance.sparse_demand.slot(0)[1];
-  util::BinaryWriter w;
-  model::write_sparse_demand(w, block);
-  util::BinaryReader r(w.bytes());
-  EXPECT_TRUE(model::read_sparse_demand(r) == block);
-}
-
-TEST(SparseDemandIo, FileRoundTripAndCorruption) {
-  const auto instance = io_instance(3, 5);
-  const std::string path =
-      ::testing::TempDir() + "/mdo_sparse_trace_roundtrip.bin";
-  model::save_sparse_trace(path, instance.sparse_demand);
-  EXPECT_TRUE(model::load_sparse_trace(path) == instance.sparse_demand);
-
-  // Flip one payload byte: the checksum must catch it.
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 40u);
-  bytes[bytes.size() - 3] ^= 0x10;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  EXPECT_THROW(model::load_sparse_trace(path), InvalidArgument);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "online/baselines.hpp"
 #include "online/offline_controller.hpp"
@@ -192,41 +193,61 @@ workload::PaperScenario streaming_scenario() {
   return scenario;
 }
 
+/// streaming_scenario() on three SBSs joined in a ring: the Simulator's
+/// default cooperative routing serves part of the demand from neighbors.
+workload::PaperScenario ring_scenario() {
+  workload::PaperScenario scenario = streaming_scenario();
+  scenario.num_sbs = 3;
+  scenario.neighbor_topology = workload::NeighborTopologyKind::kRing;
+  scenario.inter_sbs_bandwidth = 5.0;
+  return scenario;
+}
+
 TEST(StreamingRun, MatchesMaterializedSimulatorBitForBit) {
-  const auto scenario = streaming_scenario();
-  const model::ProblemInstance instance = scenario.build_sparse();
-  std::stringstream buffer;
-  workload::save_trace_csv(buffer, instance.sparse_demand);
-  const std::string text = buffer.str();
+  for (const bool ring : {false, true}) {
+    const auto scenario = ring ? ring_scenario() : streaming_scenario();
+    const model::ProblemInstance instance = scenario.build_sparse();
+    std::stringstream buffer;
+    workload::save_trace_csv(buffer, instance.sparse_demand);
+    const std::string text = buffer.str();
 
-  const std::size_t window = 4;
-  for (const bool with_events : {false, true}) {
-    // Reference: the materialized engine over the same trace.
-    const workload::PerfectPredictor predictor(instance.sparse_demand);
-    SimulatorOptions simulator_options;
-    simulator_options.simulate_events = with_events;
-    const Simulator simulator(instance, predictor, simulator_options);
-    online::RhcController reference_controller(window);
-    const auto reference = simulator.run(reference_controller);
+    const std::size_t window = 4;
+    for (const bool with_events : {false, true}) {
+      SCOPED_TRACE(std::string(ring ? "ring" : "no topology") +
+                   (with_events ? ", events" : ""));
+      // Reference: the materialized engine over the same trace.
+      const workload::PerfectPredictor predictor(instance.sparse_demand);
+      SimulatorOptions simulator_options;
+      simulator_options.simulate_events = with_events;
+      const Simulator simulator(instance, predictor, simulator_options);
+      online::RhcController reference_controller(window);
+      const auto reference = simulator.run(reference_controller);
+      if (ring) {
+        EXPECT_GT(reference.total.neigh, 0.0);
+      }
 
-    std::stringstream stream_in(text);
-    workload::StreamingTraceReader reader(stream_in, instance.config);
-    StreamingRunOptions streaming_options;
-    streaming_options.lookahead = window;
-    streaming_options.simulate_events = with_events;
-    online::RhcController streamed_controller(window);
-    const auto streamed = run_streaming(instance.config, reader,
-                                        streamed_controller, streaming_options);
+      std::stringstream stream_in(text);
+      workload::StreamingTraceReader reader(stream_in, instance.config);
+      StreamingRunOptions streaming_options;
+      streaming_options.lookahead = window;
+      streaming_options.simulate_events = with_events;
+      online::RhcController streamed_controller(window);
+      const auto streamed =
+          run_streaming(instance.config, reader, streamed_controller,
+                        streaming_options);
 
-    EXPECT_EQ(streamed.slots, instance.horizon());
-    EXPECT_DOUBLE_EQ(streamed.total.bs, reference.total.bs);
-    EXPECT_DOUBLE_EQ(streamed.total.sbs, reference.total.sbs);
-    EXPECT_DOUBLE_EQ(streamed.total.replacement, reference.total.replacement);
-    EXPECT_EQ(streamed.total_replacements, reference.total_replacements);
-    EXPECT_DOUBLE_EQ(streamed.offload_ratio(), reference.offload_ratio());
-    ASSERT_EQ(streamed.events.has_value(), with_events);
-    if (with_events) {
-      EXPECT_TRUE(*streamed.events == *reference.events);
+      EXPECT_EQ(streamed.slots, instance.horizon());
+      EXPECT_DOUBLE_EQ(streamed.total.bs, reference.total.bs);
+      EXPECT_DOUBLE_EQ(streamed.total.sbs, reference.total.sbs);
+      EXPECT_DOUBLE_EQ(streamed.total.neigh, reference.total.neigh);
+      EXPECT_DOUBLE_EQ(streamed.total.replacement,
+                       reference.total.replacement);
+      EXPECT_EQ(streamed.total_replacements, reference.total_replacements);
+      EXPECT_DOUBLE_EQ(streamed.offload_ratio(), reference.offload_ratio());
+      ASSERT_EQ(streamed.events.has_value(), with_events);
+      if (with_events) {
+        EXPECT_TRUE(*streamed.events == *reference.events);
+      }
     }
   }
 }
